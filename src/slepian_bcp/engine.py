@@ -56,6 +56,7 @@ from .process import ProcessParams, covariance_matrix
 _QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208)
 _TAIL_CUT = 8.0         # marginal sd is 1; omitted mass < 1e-15 per axis
 _UPPER_CAP = 8.5
+_MC_BLOCK = 131_072     # skeleton samples per seed-indexed block
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,10 @@ class Partition:
 class Estimate:
     """A crossing-probability estimate with its error indication.
 
-    `error` is a quadrature error bound or a Monte-Carlo standard error
-    depending on `method`.
+    `error` is, for quadrature, the last successive-level difference plus
+    1e-14 (a heuristic, not a bound); for `bcp_montecarlo`, MC study rows
+    and `empirical_bcp`, the sample standard error; for counting estimators
+    (`crossing="nodes"`, `empirical_bridge_noncross`), the binomial one.
     """
 
     value: float
@@ -264,6 +267,10 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
     factor along that axis narrow (sd ~ sqrt(gap)) and can exhaust the
     refinement ladder; since the value is partition-invariant, prefer the
     minimal partition (the boundary knots) in that case.
+
+    `error` is the last successive-level difference plus 1e-14, a heuristic,
+    not a bound.  QuadratureNonConvergenceError carries the last level's
+    value, that difference and its tensor size 208**(n+1).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -277,7 +284,7 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
     pieces = _local_pieces(boundary, partition)
     limits = [boundary.evaluate(t) for t in partition.times]
 
-    prev = None
+    prev = diff = None
     for level in _QUAD_LEVELS:
         cur = _noncross_tensor_gl(partition.params, partition.times, limits,
                                   pieces, level)
@@ -292,25 +299,47 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
         f"tensor quadrature did not reach tol={tol:g} at "
         f"{_QUAD_LEVELS[-1]} nodes per axis",
         value=min(1.0, max(0.0, 1.0 - prev)),
-        error_bound=float("nan"), evaluations=_QUAD_LEVELS[-1] ** 2)
+        error_bound=diff, evaluations=_QUAD_LEVELS[-1] ** (n + 1))
 
 
-def _default_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("SLEPIAN_BCP_WORKERS")
-    return max(1, int(env)) if env else 1
+def _blocks(n_paths: int, block_size: int) -> list[tuple[int, int]]:
+    """(j, size) of the blocks covering n_paths; block j uses stream j."""
+    return [(j, min(block_size, n_paths - start))
+            for j, start in enumerate(range(0, n_paths, block_size))]
 
 
-def _mc_blocks(n_paths: int, block_size: int):
-    blocks = []
-    start = 0
-    j = 0
-    while start < n_paths:
-        blocks.append((j, min(block_size, n_paths - start)))
-        start += block_size
-        j += 1
-    return blocks
+def _map_blocks(run_block, blocks, workers: int | None):
+    """Yield run_block(block) in block order, on up to `workers` threads.
+
+    `workers` defaults to SLEPIAN_BCP_WORKERS, else 1.
+    """
+    if workers is None:
+        env = os.environ.get("SLEPIAN_BCP_WORKERS")
+        workers = int(env) if env else 1
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run_block, blocks)
+    else:
+        yield from map(run_block, blocks)
+
+
+def _moments(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and sample standard error of sample blocks.
+
+    Each block has one row per sample and one column per estimand; sums run
+    along each block's sample axis, then block by block in order.
+    """
+    n = 0
+    s1 = s2 = 0.0
+    for z in samples:
+        n += len(z)
+        s1 = s1 + z.sum(axis=0)
+        s2 = s2 + (z * z).sum(axis=0)
+    mean = s1 / n
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    var = np.maximum(0.0, (s2 - n * mean ** 2) / (n - 1))
+    return mean, np.sqrt(var / n)
 
 
 def _payoffs(x: np.ndarray, q: float, limits: np.ndarray, pieces) -> np.ndarray:
@@ -321,11 +350,40 @@ def _payoffs(x: np.ndarray, q: float, limits: np.ndarray, pieces) -> np.ndarray:
     return z
 
 
+def _skeleton_mc(partition: Partition,
+                 boundaries: Sequence[PiecewiseAffineBoundary],
+                 n_paths: int, seed: int, workers: int | None):
+    """Conditioned-MC `_moments` of several boundaries on shared skeletons.
+
+    Columns: each boundary's non-crossing payoff, then the differences
+    payoff_i - payoff_{i+1} (= value_{i+1} - value_i per sample).
+    """
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    params = partition.params
+    per_bnd = [(np.array([b.evaluate(t) for t in partition.times]),
+                _local_pieces(b, partition)) for b in boundaries]
+    m = partition.n + 1
+    lower = cholesky(covariance_matrix(params, partition.times))
+
+    def run_block(block):
+        j, k = block
+        eps = gaussian_stream(seed, j).normals(k * m).reshape(k, m)
+        x = eps @ lower.T
+        zs = [_payoffs(x, params.q, limits, pieces)
+              for limits, pieces in per_bnd]
+        # each column's samples are contiguous, so its sums are the
+        # pairwise sums of that 1-D payoff vector
+        return np.stack(zs + [a - b for a, b in zip(zs, zs[1:])]).T
+
+    return _moments(_map_blocks(run_block, _blocks(n_paths, _MC_BLOCK),
+                                workers))
+
+
 def bcp_montecarlo(boundary: PiecewiseAffineBoundary,
                    partition: Partition | None = None,
                    n_paths: int = 1_000_000, seed: int = 0,
-                   workers: int | None = None,
-                   block_size: int = 131_072) -> Estimate:
+                   workers: int | None = None) -> Estimate:
     """Crossing probability by conditioned Monte Carlo.
 
     Samples the skeleton X ~ N(0, Sigma) at the partition times (one
@@ -338,39 +396,12 @@ def bcp_montecarlo(boundary: PiecewiseAffineBoundary,
     Sample blocks draw from seed-derived streams indexed by block number,
     so a fixed seed gives identical results for any worker count.
     """
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
     if partition is None:
         partition = Partition.from_boundary(boundary)
-    params = partition.params
-    pieces = _local_pieces(boundary, partition)
-    limits = np.array([boundary.evaluate(t) for t in partition.times])
-    m = partition.n + 1
-    lower = cholesky(covariance_matrix(params, partition.times))
-
-    def run_block(block):
-        j, k = block
-        eps = gaussian_stream(seed, j).normals(k * m).reshape(k, m)
-        z = _payoffs(eps @ lower.T, params.q, limits, pieces)
-        return float(np.sum(z)), float(np.sum(z * z))
-
-    blocks = _mc_blocks(n_paths, block_size)
-    n_workers = _default_workers(workers)
-    if n_workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-    s1 = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
-    mean = s1 / n_paths
-    if n_paths > 1:
-        var = max(0.0, (s2 - n_paths * mean * mean) / (n_paths - 1))
-        se = math.sqrt(var / n_paths)
-    else:
-        se = 0.0
-    return Estimate(value=min(1.0, max(0.0, 1.0 - mean)), error=se,
-                    method="montecarlo", n_samples=n_paths, seed=seed)
+    mean, se = _skeleton_mc(partition, [boundary], n_paths, seed, workers)
+    return Estimate(value=min(1.0, max(0.0, 1.0 - float(mean[0]))),
+                    error=float(se[0]), method="montecarlo",
+                    n_samples=n_paths, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -399,15 +430,15 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
                       piece_counts: Sequence[int], mode: str = "interpolate",
                       method: str = "mc", tol: float = 1e-6,
                       n_paths: int = 200_000, seed: int = 0,
-                      workers: int | None = None,
-                      block_size: int = 131_072) -> list[StudyRow]:
+                      workers: int | None = None) -> list[StudyRow]:
     """Crossing probabilities of piecewise-affine approximants of f.
 
     With method="mc" all resolutions are evaluated on the same skeleton
     draws over the union of their knots (partition invariance makes each
     estimate unbiased for its own boundary), so successive differences have
     far smaller variance than the individual estimates and the reported
-    diff_se makes the convergence of the sequence testable.  With
+    diff_se makes the convergence of the sequence testable; `workers`
+    threads share the blocks without changing the result.  With
     method="quad" the estimates are independent deterministic values.
     """
     counts = list(piece_counts)
@@ -428,40 +459,16 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
         raise DomainError(f"unknown method {method!r}")
 
     partition = _union_partition(params, boundaries)
-    m = partition.n + 1
-    lower = cholesky(covariance_matrix(params, partition.times))
-    per_bnd = [(np.array([b.evaluate(t) for t in partition.times]),
-                _local_pieces(b, partition)) for b in boundaries]
-
+    mean, se = _skeleton_mc(partition, boundaries, n_paths, seed, workers)
     nb = len(boundaries)
-    s1 = np.zeros(nb)
-    s2 = np.zeros(nb)
-    d1 = np.zeros(nb - 1)
-    d2 = np.zeros(nb - 1)
-    for j, k in _mc_blocks(n_paths, block_size):
-        eps = gaussian_stream(seed, j).normals(k * m).reshape(k, m)
-        x = eps @ lower.T
-        zs = [_payoffs(x, params.q, limits, pieces)
-              for limits, pieces in per_bnd]
-        for i, z in enumerate(zs):
-            s1[i] += z.sum()
-            s2[i] += (z * z).sum()
-        for i in range(nb - 1):
-            dz = zs[i] - zs[i + 1]     # value_{i+1} - value_i per sample
-            d1[i] += dz.sum()
-            d2[i] += (dz * dz).sum()
-
     rows = []
     for i, c in enumerate(counts):
-        mean = s1[i] / n_paths
-        var = max(0.0, (s2[i] - n_paths * mean ** 2) / (n_paths - 1))
-        est = Estimate(value=min(1.0, max(0.0, 1.0 - mean)),
-                       error=math.sqrt(var / n_paths), method="montecarlo",
+        est = Estimate(value=min(1.0, max(0.0, 1.0 - float(mean[i]))),
+                       error=float(se[i]), method="montecarlo",
                        n_samples=n_paths, seed=seed)
         if i == 0:
             rows.append(StudyRow(c, est))
         else:
-            dmean = d1[i - 1] / n_paths
-            dvar = max(0.0, (d2[i - 1] - n_paths * dmean ** 2) / (n_paths - 1))
-            rows.append(StudyRow(c, est, dmean, math.sqrt(dvar / n_paths)))
+            rows.append(StudyRow(c, est, float(mean[nb + i - 1]),
+                                 float(se[nb + i - 1])))
     return rows

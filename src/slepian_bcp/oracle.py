@@ -35,10 +35,12 @@ import numpy as np
 
 from .boundary import PiecewiseAffineBoundary
 from .bridge import BridgeSpec
-from .engine import Estimate
+from .engine import Estimate, _blocks, _moments
 from .errors import DomainError, NotPositiveDefiniteError
 from .numerics import gaussian_stream
 from .process import ProcessParams, covariance_matrix
+
+_PATH_BLOCK_ELEMS = 1 << 22     # Brownian grid values per path block
 
 
 @dataclass(frozen=True)
@@ -100,38 +102,35 @@ def _grids(params: ProcessParams, t_lo: float, t_hi: float, step: float):
     return times, b_times, rank[:k + 1], rank[k + 1:]
 
 
-def _block_sizes(n_paths: int, n_grid: int, block_size: int | None):
-    if block_size is None:
-        block_size = max(128, (1 << 22) // max(n_grid, 1))
-    blocks = []
-    start = 0
-    j = 0
-    while start < n_paths:
-        blocks.append((j, min(block_size, n_paths - start)))
-        start += block_size
-        j += 1
-    return blocks
+def _window_paths(params: ProcessParams, grid, n_paths: int, seed: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (times, values) blocks of W on a grid from `_grids`.
+
+    Each block holds about _PATH_BLOCK_ELEMS Brownian grid values: the
+    increments are cumulated into B and W is read off as the window
+    difference.
+    """
+    times, b_times, idx_l, idx_r = grid
+    sqrt_dt = np.sqrt(np.diff(b_times))
+    n_inc = len(sqrt_dt)
+    block_size = max(128, _PATH_BLOCK_ELEMS // len(b_times))
+    for j, k in _blocks(n_paths, block_size):
+        eps = gaussian_stream(seed, j).normals(k * n_inc)
+        eps = eps.reshape(k, n_inc) * sqrt_dt
+        b = np.concatenate([np.zeros((k, 1)), np.cumsum(eps, axis=1)], axis=1)
+        yield times, (b[:, idx_r] - b[:, idx_l]) / math.sqrt(params.q)
 
 
-def simulate_paths(cfg: SimConfig,
-                   block_size: int | None = None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (times, values) blocks of simulated paths on [q, d].
 
     `values` has one row per path; rows across all blocks form the full
     ensemble of cfg.n_paths paths, reproducible from cfg.seed.
     """
     params = cfg.params
-    times, b_times, idx_l, idx_r = _grids(params, params.q, params.d,
-                                          cfg.grid_step)
-    sqrt_dt = np.sqrt(np.diff(b_times))
-    n_inc = len(sqrt_dt)
-    for j, k in _block_sizes(cfg.n_paths, len(b_times), block_size):
-        eps = gaussian_stream(cfg.seed, j).normals(k * n_inc)
-        eps = eps.reshape(k, n_inc) * sqrt_dt
-        b = np.concatenate([np.zeros((k, 1)), np.cumsum(eps, axis=1)], axis=1)
-        w = (b[:, idx_r] - b[:, idx_l]) / math.sqrt(params.q)
-        yield times, w
+    yield from _window_paths(
+        params, _grids(params, params.q, params.d, cfg.grid_step),
+        cfg.n_paths, cfg.seed)
 
 
 def _step_limits(boundary: PiecewiseAffineBoundary, times: np.ndarray,
@@ -243,18 +242,13 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
         p = count / n
         se = math.sqrt(p * (1.0 - p) / n)
     else:
-        scale = cfg.params.q / cfg.grid_step
-        s1 = s2 = 0.0
-        limits = None
-        for times, w in simulate_paths(cfg):
-            if limits is None:
-                limits = _step_limits(boundary, times, cfg.grid_step)
-            prob = _bridge_crossing(w, *limits, scale)
-            s1 += float(prob.sum())
-            s2 += float(prob @ prob)
-        p = s1 / n
-        var = max(0.0, (s2 - n * p * p) / (n - 1)) if n > 1 else 0.0
-        se = math.sqrt(var / n)
+        params = cfg.params
+        scale = params.q / cfg.grid_step
+        times = _grids(params, params.q, params.d, cfg.grid_step)[0]
+        limits = _step_limits(boundary, times, cfg.grid_step)
+        mean, sem = _moments(_bridge_crossing(w, *limits, scale)[:, None]
+                             for _, w in simulate_paths(cfg))
+        p, se = float(mean[0]), float(sem[0])
     return Estimate(value=p, error=se, method="montecarlo",
                     n_samples=n, seed=cfg.seed)
 
@@ -263,20 +257,14 @@ def empirical_covariance(cfg: SimConfig, n_lags: int = 20):
     """Empirical covariance of W at `n_lags` grid lags from the left edge.
 
     Returns (lags, estimates, standard_errors); each estimate averages the
-    product W_q * W_{q+lag} over paths.
+    product W_q * W_{q+lag} over paths, and its error is the sample
+    standard error of those products.
     """
     k_max = cfg.n_steps
     lag_idx = np.unique(np.round(np.linspace(1, k_max, n_lags)).astype(int))
-    s1 = np.zeros(len(lag_idx))
-    s2 = np.zeros(len(lag_idx))
-    for times, w in simulate_paths(cfg):
-        prod = w[:, [0]] * w[:, lag_idx]
-        s1 += prod.sum(axis=0)
-        s2 += (prod * prod).sum(axis=0)
-    n = cfg.n_paths
-    mean = s1 / n
-    var = np.maximum(0.0, (s2 - n * mean ** 2) / (n - 1))
-    return lag_idx * cfg.grid_step, mean, np.sqrt(var / n)
+    mean, se = _moments(w[:, [0]] * w[:, lag_idx]
+                        for _, w in simulate_paths(cfg))
+    return lag_idx * cfg.grid_step, mean, se
 
 
 def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
@@ -290,6 +278,7 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     W + Cov(W, pins) Cov(pins)^{-1} (pins - W_pins), which is cheap (rank
     two) and has the exact conditional law.  A pin on or above the boundary
     is a certain crossing, so the estimate is 0 without simulation.
+    `error` is the binomial standard error of the non-crossing fraction.
     """
     h = spec.h
     if spec.x_i >= b or spec.x_i1 >= b + a * h:
@@ -301,11 +290,8 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
         raise DomainError(
             f"grid_step={grid_step} must divide the bridge length {h} "
             "within rounding, with at least two subintervals")
-    times, b_times, idx_l, idx_r = _grids(params, spec.t_i, spec.t_i1,
-                                          grid_step)
-    sqrt_dt = np.sqrt(np.diff(b_times))
-    n_inc = len(sqrt_dt)
-
+    grid = _grids(params, spec.t_i, spec.t_i1, grid_step)
+    times = grid[0]
     sigma = covariance_matrix(params, times)
     pin_idx = [0, len(times) - 1]
     s_pp = sigma[np.ix_(pin_idx, pin_idx)]
@@ -319,13 +305,7 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     bound = b + a * (times - spec.t_i)
 
     count = 0
-    root_q = math.sqrt(params.q)
-    for j, kblk in _block_sizes(n_paths, len(b_times), None):
-        eps = gaussian_stream(seed, j).normals(kblk * n_inc)
-        eps = eps.reshape(kblk, n_inc) * sqrt_dt
-        bm = np.concatenate([np.zeros((kblk, 1)), np.cumsum(eps, axis=1)],
-                            axis=1)
-        w = (bm[:, idx_r] - bm[:, idx_l]) / root_q
+    for _, w in _window_paths(params, grid, n_paths, seed):
         w += (pins[None, :] - w[:, pin_idx]) @ gain.T
         count += int(np.all(w[:, 1:-1] <= bound[None, 1:-1], axis=1).sum())
     p = count / n_paths

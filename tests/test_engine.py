@@ -9,10 +9,11 @@ from scipy.integrate import dblquad
 from slepian_bcp import (AffinePiece, DimensionTooLargeError, DomainError,
                          Estimate, GaussianVectorSpec, Partition,
                          PiecewiseAffineBoundary, ProcessParams,
-                         affine_boundary, approximate, bcp_montecarlo,
-                         bcp_quadrature, constant_boundary,
-                         convergence_study, fdd_density,
+                         QuadratureNonConvergenceError, affine_boundary,
+                         approximate, bcp_montecarlo, bcp_quadrature,
+                         constant_boundary, convergence_study, fdd_density,
                          noncross_affine_product, bcp_integrand)
+from slepian_bcp import engine
 
 PARAMS = ProcessParams(1.0, 2.0)
 
@@ -151,6 +152,19 @@ class TestBcpQuadrature:
         with pytest.raises(DimensionTooLargeError):
             bcp_quadrature(bnd, Partition.equidistant(PARAMS, 5))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nonconvergence_reports_last_level(self, n):
+        # d = 1.001 q: the (x_0, x_n) pair density is a ridge the ladder
+        # cannot resolve, so the error must describe the last level
+        params = ProcessParams(1.0, 1.001)
+        with pytest.raises(QuadratureNonConvergenceError) as info:
+            bcp_quadrature(constant_boundary(params, 1.0),
+                           Partition.equidistant(params, n), tol=1e-6)
+        err = info.value
+        assert math.isfinite(err.error_bound)
+        assert err.error_bound > 0.5e-6
+        assert err.evaluations == 208 ** (n + 1)
+
     def test_partition_must_contain_knots(self):
         part = Partition(PARAMS, (1.0, 1.4, 2.0))
         with pytest.raises(DomainError):
@@ -193,10 +207,9 @@ class TestBcpMontecarlo:
 
     def test_worker_count_does_not_change_result(self):
         bnd = TWO_PIECE
-        a = bcp_montecarlo(bnd, n_paths=64_000, seed=6, workers=1,
-                           block_size=8_000)
-        b = bcp_montecarlo(bnd, n_paths=64_000, seed=6, workers=4,
-                           block_size=8_000)
+        n_paths = 3 * engine._MC_BLOCK + 1_000     # four blocks
+        a = bcp_montecarlo(bnd, n_paths=n_paths, seed=6, workers=1)
+        b = bcp_montecarlo(bnd, n_paths=n_paths, seed=6, workers=4)
         assert a.value == b.value and a.error == b.error
 
     def test_paired_seed_monotonicity_is_exact(self):
@@ -229,6 +242,29 @@ class TestConvergenceStudy:
         assert rows[0].diff_prev is None
         for row in rows[1:]:
             assert row.diff_se < row.estimate.error / 5.0
+
+    def test_workers_run_blocks_in_a_pool_without_changing_rows(
+            self, monkeypatch):
+        pools = []
+
+        class RecordingPool(engine.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        kw = dict(method="mc", n_paths=2 * engine._MC_BLOCK + 500, seed=12)
+        serial = convergence_study(lambda t: t * t, PARAMS, [2, 4], **kw,
+                                   workers=1)
+        assert not pools
+        pooled = convergence_study(lambda t: t * t, PARAMS, [2, 4], **kw,
+                                   workers=2)
+        assert len(pools) == 1
+        for a, b in zip(serial, pooled):
+            assert a.estimate.value == b.estimate.value
+            assert a.estimate.error == b.estimate.error
+            assert a.diff_prev == b.diff_prev
+            assert a.diff_se == b.diff_se
 
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
