@@ -15,9 +15,8 @@ from .bridge import (BridgeSpec, hitting_density_double,
                      noncross_affine_product, noncross_constant)
 from .engine import (Estimate, Partition, StudyRow, bcp_montecarlo,
                      bcp_quadrature, convergence_study, bcp_integrand)
-from .errors import (DimensionTooLargeError, DomainError,
-                     NotPositiveDefiniteError, QuadratureNonConvergenceError,
-                     SlepianError)
+from .errors import (DomainError, NotPositiveDefiniteError,
+                     QuadratureNonConvergenceError, SlepianError)
 from .numerics import (GaussianStream, QuadResult, cholesky,
                        gaussian_stream, integrate_adaptive)
 from .oracle import (SimConfig, dump_paths, empirical_bcp,
@@ -30,7 +29,7 @@ from .process import (GaussianVectorSpec, ProcessParams, conditional_density,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePiece", "BridgeSpec", "DimensionTooLargeError", "DomainError",
+    "AffinePiece", "BridgeSpec", "DomainError",
     "Estimate", "GaussianStream", "GaussianVectorSpec",
     "NotPositiveDefiniteError", "Partition", "PiecewiseAffineBoundary",
     "ProcessParams", "QuadResult", "QuadratureNonConvergenceError",

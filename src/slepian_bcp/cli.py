@@ -32,9 +32,8 @@ from .bridge import (BridgeSpec, hitting_density_double,
                      noncross_constant)
 from .engine import (Partition, bcp_montecarlo, bcp_quadrature,
                      convergence_study)
-from .errors import (DimensionTooLargeError, DomainError,
-                     NotPositiveDefiniteError, QuadratureNonConvergenceError,
-                     SlepianError)
+from .errors import (DomainError, NotPositiveDefiniteError,
+                     QuadratureNonConvergenceError, SlepianError)
 from .oracle import SimConfig, dump_paths, empirical_bcp, \
     empirical_bridge_noncross
 from .process import (GaussianVectorSpec, ProcessParams, conditional_density,
@@ -401,7 +400,7 @@ def main(argv=None) -> int:
     except NotPositiveDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DimensionTooLargeError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SlepianError as exc:

@@ -28,12 +28,14 @@ exposes it for testing and the quadrature engine contracts it axis by axis.
 
 Two evaluators:
 
-* `bcp_quadrature` - deterministic tensor Gauss-Legendre with refinement,
-  capped at n <= 4 (integral dimension 5); the chain structure reduces the
-  cost to matrix contractions along the partition.
+* `bcp_quadrature` - deterministic tensor Gauss-Legendre, refined along a
+  ladder of 16 to 832 nodes per axis; the chain structure reduces each of
+  the n - 1 inner axes to one N x N matrix product, so the cost per level
+  is O(n N^3) flops and O(n N^2) exp calls for any partition size n.
 * `bcp_montecarlo` - draws the skeleton vector X ~ N(0, Sigma) and averages
-  the product of indicators and bridge factors; unbiased for every n, with
-  seed-derived block streams so results do not depend on worker count.
+  one minus the product of indicators and bridge factors; unbiased for
+  every n, with seed-derived block streams so results do not depend on
+  worker count.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ import numpy as np
 
 from .boundary import PiecewiseAffineBoundary, approximate
 from .bridge import noncross_affine_product
-from .errors import (DimensionTooLargeError, DomainError,
-                     QuadratureNonConvergenceError)
+from .errors import DomainError, QuadratureNonConvergenceError
 from .numerics import cholesky, gauss_legendre_on, gaussian_stream
 from .process import ProcessParams, covariance_matrix
 
-_QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208)
+_QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208, 288, 416, 576, 832)
 _TAIL_CUT = 8.0         # marginal sd is 1; omitted mass < 1e-15 per axis
 _UPPER_CAP = 8.5
 _MC_BLOCK = 131_072     # skeleton samples per seed-indexed block
@@ -192,12 +193,30 @@ def _axis_rules(limits, n_nodes):
     return nodes, weights
 
 
+def _log_matmul(p, k):
+    """log(exp(p) @ exp(k)), scaled by row maxima of p and column maxima of k.
+
+    One matrix product and O(N^2) exp/log calls; a row or column whose
+    maximum is -inf gives -inf.  A sum that underflows after scaling is
+    below ~1e-308 of exp(row max + column max).
+    """
+    row = np.max(p, axis=1)
+    col = np.max(k, axis=0)
+    row0 = np.where(np.isfinite(row), row, 0.0)
+    col0 = np.where(np.isfinite(col), col, 0.0)
+    prod = np.exp(p - row0[:, None]) @ np.exp(k - col0[None, :])
+    with np.errstate(divide="ignore"):
+        return row[:, None] + col[None, :] + np.log(prod)
+
+
 def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
     """Non-crossing integral on a tensor Gauss-Legendre grid.
 
     Contracts the integrand along the partition: conditional-density factors
-    couple (x_0, x_i, x_{i+1}) only, so for the inner axes a log-sum-exp
-    matrix recursion over x_i suffices.  Log space keeps severely skewed
+    couple (x_0, x_i, x_{i+1}) only, and the exponent of x_i's factor splits
+    into a part in (x_0, x_i), one in (x_i, x_{i+1}) and one in
+    (x_0, x_{i+1}), so each inner axis costs one N x N matrix product
+    (`_log_matmul`).  Log values between steps keep severely skewed
     partitions (tiny first gap) from overflowing the rank-separated
     conditional factors.
     """
@@ -224,19 +243,10 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
                   / (u[i + 1] - u[i]))
         e_skip = ((nodes[i + 1][None, :] - nodes[0][:, None]) ** 2
                   / (u[i + 1] - 1.0))
-        # log M[l, j, k] = log V[l, j] + log w_j + log cond + log bridge
-        log_m = (log_v[:, :, None]
-                 + np.log(weights[i])[None, :, None]
-                 + pref
-                 - 0.25 * e_prev[:, :, None]
-                 - 0.25 * e_step[None, :, :]
-                 + 0.25 * e_skip[:, None, :]
-                 + bridge_log(i)[None, :, :])
-        mx = np.max(log_m, axis=1)
-        with np.errstate(invalid="ignore"):
-            log_v = mx + np.log(np.sum(np.exp(log_m - mx[:, None, :]),
-                                       axis=1))
-        log_v = np.where(np.isfinite(mx), log_v, -np.inf)
+        # log V'[l, k] = pref + e_skip/4 + log sum_j exp(P[l, j] + K[j, k])
+        p = log_v + np.log(weights[i])[None, :] - 0.25 * e_prev
+        k = bridge_log(i) - 0.25 * e_step
+        log_v = pref + 0.25 * e_skip + _log_matmul(p, k)
 
     log_pair = (-math.log(2.0 * math.pi)
                 - 0.5 * math.log((3.0 - u[n]) * (u[n] - 1.0))
@@ -257,30 +267,30 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
                    tol: float = 1e-6) -> Estimate:
     """Crossing probability by deterministic nested quadrature.
 
-    Works for partitions with n <= 4 subintervals (integral dimension 5);
-    finer partitions should use `bcp_montecarlo`.  Semi-infinite axes are
-    truncated at min(g(t_i), 0) - 8 below and capped at 8.5 above (marginal
-    sd is 1, so the omitted mass is < 1e-15 per axis) and the tensor rule
-    is refined until two successive levels agree within tol.
+    Works for any number n of subintervals: the n + 1 dimensional
+    integral is contracted along the partition with one N x N matrix
+    product per inner axis.  Semi-infinite axes are truncated at
+    min(g(t_i), 0) - 8 below and capped at 8.5 above (marginal sd is 1, so
+    the omitted mass is < 1e-15 per axis) and the tensor rule is refined
+    along N = 16, 24, ..., 832 nodes per axis until two successive levels
+    agree within tol.
 
     A subinterval much shorter than its neighbours makes the conditional
     factor along that axis narrow (sd ~ sqrt(gap)) and can exhaust the
     refinement ladder; since the value is partition-invariant, prefer the
-    minimal partition (the boundary knots) in that case.
+    minimal partition (the boundary knots) in that case.  A very short
+    horizon does the same to the (x_0, x_n) pair density (sd ~
+    sqrt((d - q)/q)): d = 1.001 q converges, d = q + 1e-6 does not.
 
     `error` is the last successive-level difference plus 1e-14, a heuristic,
     not a bound.  QuadratureNonConvergenceError carries the last level's
-    value, that difference and its tensor size 208**(n+1).
+    value, that difference and its tensor size 832**(n+1).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     if partition is None:
         partition = Partition.from_boundary(boundary)
     n = partition.n
-    if n > 4:
-        raise DimensionTooLargeError(
-            f"deterministic quadrature is capped at 4 subintervals, got "
-            f"n={n}; use bcp_montecarlo")
     pieces = _local_pieces(boundary, partition)
     limits = [boundary.evaluate(t) for t in partition.times]
 
@@ -343,11 +353,12 @@ def _moments(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _payoffs(x: np.ndarray, q: float, limits: np.ndarray, pieces) -> np.ndarray:
-    """Product of boundary indicators and bridge factors per sample row."""
+    """Crossing payoff per sample row: 1 - the product of boundary
+    indicators and bridge non-crossing factors."""
     z = np.all(x <= limits[None, :], axis=1).astype(float)
     for i, (h, b, a) in enumerate(pieces):
         z *= noncross_affine_product(q, h, b, a, x[:, i], x[:, i + 1])
-    return z
+    return 1.0 - z
 
 
 def _skeleton_mc(partition: Partition,
@@ -355,8 +366,10 @@ def _skeleton_mc(partition: Partition,
                  n_paths: int, seed: int, workers: int | None):
     """Conditioned-MC `_moments` of several boundaries on shared skeletons.
 
-    Columns: each boundary's non-crossing payoff, then the differences
-    payoff_i - payoff_{i+1} (= value_{i+1} - value_i per sample).
+    Columns: each boundary's crossing payoff, then the differences
+    payoff_{i+1} - payoff_i (= value_{i+1} - value_i per sample).  Crossing
+    payoffs are mostly zero for a high boundary, so the one-pass variance
+    does not cancel as it would on non-crossing payoffs near 1.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
@@ -374,7 +387,7 @@ def _skeleton_mc(partition: Partition,
               for limits, pieces in per_bnd]
         # each column's samples are contiguous, so its sums are the
         # pairwise sums of that 1-D payoff vector
-        return np.stack(zs + [a - b for a, b in zip(zs, zs[1:])]).T
+        return np.stack(zs + [b - a for a, b in zip(zs, zs[1:])]).T
 
     return _moments(_map_blocks(run_block, _blocks(n_paths, _MC_BLOCK),
                                 workers))
@@ -387,19 +400,19 @@ def bcp_montecarlo(boundary: PiecewiseAffineBoundary,
     """Crossing probability by conditioned Monte Carlo.
 
     Samples the skeleton X ~ N(0, Sigma) at the partition times (one
-    Cholesky factorization per call) and averages
+    Cholesky factorization per call) and averages the crossing payoff
 
-        prod_i 1{X_i <= g(t_i)} * prod_i P(bridge i below g | X_i, X_{i+1});
+        1 - prod_i 1{X_i <= g(t_i)} * prod_i P(bridge i below g | X_i, X_{i+1});
 
-    the expectation is exactly the non-crossing probability, so the
-    estimate of the crossing probability is unbiased for every partition.
+    its expectation is exactly the crossing probability, so the estimate is
+    unbiased for every partition.
     Sample blocks draw from seed-derived streams indexed by block number,
     so a fixed seed gives identical results for any worker count.
     """
     if partition is None:
         partition = Partition.from_boundary(boundary)
     mean, se = _skeleton_mc(partition, [boundary], n_paths, seed, workers)
-    return Estimate(value=min(1.0, max(0.0, 1.0 - float(mean[0]))),
+    return Estimate(value=min(1.0, max(0.0, float(mean[0]))),
                     error=float(se[0]), method="montecarlo",
                     n_samples=n_paths, seed=seed)
 
@@ -463,7 +476,7 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
     nb = len(boundaries)
     rows = []
     for i, c in enumerate(counts):
-        est = Estimate(value=min(1.0, max(0.0, 1.0 - float(mean[i]))),
+        est = Estimate(value=min(1.0, max(0.0, float(mean[i]))),
                        error=float(se[i]), method="montecarlo",
                        n_samples=n_paths, seed=seed)
         if i == 0:

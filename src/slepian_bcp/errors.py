@@ -17,13 +17,6 @@ class NotPositiveDefiniteError(SlepianError):
     """
 
 
-class DimensionTooLargeError(SlepianError):
-    """Deterministic quadrature was requested beyond its dimension cap.
-
-    Use the Monte-Carlo estimator for finer partitions.
-    """
-
-
 class QuadratureNonConvergenceError(SlepianError):
     """Adaptive quadrature exhausted its budget before reaching tolerance.
 

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import logsumexp
 
-from slepian_bcp import (AffinePiece, DimensionTooLargeError, DomainError,
-                         Estimate, GaussianVectorSpec, Partition,
+from slepian_bcp import (AffinePiece, DomainError, Estimate,
+                         GaussianVectorSpec, Partition,
                          PiecewiseAffineBoundary, ProcessParams,
                          QuadratureNonConvergenceError, affine_boundary,
                          approximate, bcp_montecarlo, bcp_quadrature,
-                         constant_boundary, convergence_study, fdd_density,
+                         cholesky, constant_boundary, convergence_study,
+                         covariance_matrix, fdd_density, gaussian_stream,
                          noncross_affine_product, bcp_integrand)
 from slepian_bcp import engine
 
@@ -147,23 +149,34 @@ class TestBcpQuadrature:
         v2 = bcp_quadrature(canonical, tol=1e-8).value
         assert v1 == pytest.approx(v2, abs=1e-7)
 
-    def test_dimension_cap(self):
+    def test_eight_pieces_match_the_minimal_partition(self):
         bnd = constant_boundary(PARAMS, 1.0)
-        with pytest.raises(DimensionTooLargeError):
-            bcp_quadrature(bnd, Partition.equidistant(PARAMS, 5))
+        minimal = bcp_quadrature(bnd, tol=1e-9)
+        eight = bcp_quadrature(bnd, Partition.equidistant(PARAMS, 8),
+                               tol=1e-9)
+        assert eight.value == pytest.approx(minimal.value, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_nonconvergence_reports_last_level(self, n):
-        # d = 1.001 q: the (x_0, x_n) pair density is a ridge the ladder
+        # d = q + 1e-6: the (x_0, x_n) pair density is a ridge the ladder
         # cannot resolve, so the error must describe the last level
-        params = ProcessParams(1.0, 1.001)
+        params = ProcessParams(1.0, 1.0 + 1e-6)
         with pytest.raises(QuadratureNonConvergenceError) as info:
             bcp_quadrature(constant_boundary(params, 1.0),
                            Partition.equidistant(params, n), tol=1e-6)
         err = info.value
         assert math.isfinite(err.error_bound)
         assert err.error_bound > 0.5e-6
-        assert err.evaluations == 208 ** (n + 1)
+        assert err.evaluations == engine._QUAD_LEVELS[-1] ** (n + 1)
+
+    def test_short_horizon_converges(self):
+        params = ProcessParams(1.0, 1.001)
+        bnd = constant_boundary(params, 1.0)
+        one, two = (bcp_quadrature(bnd, Partition.equidistant(params, n),
+                                   tol=1e-6) for n in (1, 2))
+        assert one.value == pytest.approx(two.value, abs=1e-10)
+        mc = bcp_montecarlo(bnd, n_paths=200_000, seed=13)
+        assert abs(one.value - mc.value) <= 4.0 * mc.error
 
     def test_partition_must_contain_knots(self):
         part = Partition(PARAMS, (1.0, 1.4, 2.0))
@@ -175,6 +188,86 @@ class TestBcpQuadrature:
         finer = bcp_quadrature(TWO_PIECE, Partition.equidistant(PARAMS, 4),
                                tol=1e-7)
         assert base.value == pytest.approx(finer.value, abs=5e-6)
+
+
+def _dense_noncross(partition, boundary, n_nodes):
+    """Non-crossing integral on the engine's grid, each inner axis summed
+    out of a dense N x N x N log-tensor by log-sum-exp."""
+    times = partition.times
+    q, n = partition.params.q, partition.n
+    u = np.asarray(times) / q
+    nodes, weights = engine._axis_rules(
+        [boundary.evaluate(t) for t in times], n_nodes)
+    pieces = engine._local_pieces(boundary, partition)
+
+    def bridge_log(i):
+        h, b, a = pieces[i]
+        with np.errstate(divide="ignore"):
+            return np.log(noncross_affine_product(
+                q, h, b, a, nodes[i][:, None], nodes[i + 1][None, :]))
+
+    log_v = bridge_log(0)
+    for i in range(1, n):
+        pref = (0.5 * math.log(u[i + 1] - 1.0) - math.log(2.0)
+                - 0.5 * math.log(math.pi * (u[i + 1] - u[i]) * (u[i] - 1.0)))
+        x0 = nodes[0][:, None, None]
+        xi = nodes[i][None, :, None]
+        xk = nodes[i + 1][None, None, :]
+        log_m = (log_v[:, :, None] + np.log(weights[i])[None, :, None]
+                 + pref + bridge_log(i)[None, :, :]
+                 - 0.25 * ((xi - x0) ** 2 / (u[i] - 1.0)
+                           + (xk - xi) ** 2 / (u[i + 1] - u[i])
+                           - (xk - x0) ** 2 / (u[i + 1] - 1.0)))
+        mx = np.max(log_m, axis=1)
+        with np.errstate(invalid="ignore"):
+            log_v = mx + np.log(np.sum(np.exp(log_m - mx[:, None, :]),
+                                       axis=1))
+        log_v = np.where(np.isfinite(mx), log_v, -np.inf)
+    x0, xn = nodes[0][:, None], nodes[n][None, :]
+    log_m = (log_v - math.log(2.0 * math.pi)
+             - 0.5 * math.log((3.0 - u[n]) * (u[n] - 1.0))
+             - 0.25 * ((x0 + xn) ** 2 / (3.0 - u[n])
+                       + (x0 - xn) ** 2 / (u[n] - 1.0))
+             + np.log(weights[0])[:, None] + np.log(weights[n])[None, :])
+    mx = np.max(log_m)
+    return float(math.exp(mx) * np.sum(np.exp(log_m - mx)))
+
+
+class TestContractionKernel:
+    @pytest.mark.parametrize("case", ["skewed", "four_pieces", "short"])
+    def test_matches_dense_log_sum_exp(self, case):
+        if case == "skewed":
+            bnd = constant_boundary(PARAMS, 1.0)
+            part = Partition(PARAMS, (1.0, 1.01, 1.5, 2.0))
+        elif case == "four_pieces":
+            bnd = approximate(lambda t: t * t / 2.0, PARAMS, 4)
+            part = Partition.from_boundary(bnd)
+        else:
+            params = ProcessParams(1.0, 1.01)
+            bnd = constant_boundary(params, 0.5)
+            part = Partition.equidistant(params, 3)
+        assert part.n >= 3
+        limits = [bnd.evaluate(t) for t in part.times]
+        got = engine._noncross_tensor_gl(
+            part.params, part.times, limits,
+            engine._local_pieces(bnd, part), 24)
+        want = _dense_noncross(part, bnd, 24)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_log_matmul_scales_rows_and_columns(self):
+        # entries far below exp's range, one empty row and one empty column
+        rng = np.random.default_rng(15)
+        p = rng.uniform(-1.0, 1.0, (5, 6)) - 2000.0
+        k = rng.uniform(-1.0, 1.0, (6, 4)) + np.array([-1500.0, 0, 0, 900.0])
+        p[2] = -np.inf
+        k[:, 1] = -np.inf
+        got = engine._log_matmul(p, k)
+        want = logsumexp(p[:, :, None] + k[None, :, :], axis=1)
+        finite = np.isfinite(want)
+        assert np.array_equal(finite, np.isfinite(got))
+        assert not finite[2].any() and not finite[:, 1].any()
+        assert np.all(got[~finite] == -np.inf)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14)
 
 
 class TestBcpMontecarlo:
@@ -211,6 +304,22 @@ class TestBcpMontecarlo:
         a = bcp_montecarlo(bnd, n_paths=n_paths, seed=6, workers=1)
         b = bcp_montecarlo(bnd, n_paths=n_paths, seed=6, workers=4)
         assert a.value == b.value and a.error == b.error
+
+    def test_tiny_crossing_probability_has_a_standard_error(self):
+        # crossing probability ~1e-11: a one-pass variance of non-crossing
+        # payoffs near 1 cancels to 0; crossing payoffs do not
+        g, n_paths, seed = 7.0, 100_000, 14
+        est = bcp_montecarlo(constant_boundary(PARAMS, g), n_paths=n_paths,
+                             seed=seed)
+        lower = cholesky(covariance_matrix(PARAMS, (1.0, 2.0)))
+        x = gaussian_stream(seed, 0).normals(2 * n_paths).reshape(
+            n_paths, 2) @ lower.T
+        payoff = 1.0 - np.all(x <= g, axis=1) * noncross_affine_product(
+            1.0, 1.0, g, 0.0, x[:, 0], x[:, 1])
+        two_pass = np.std(payoff, ddof=1) / math.sqrt(n_paths)
+        assert 0.0 < est.value < 1e-9
+        assert est.error > 0.0
+        assert est.error == pytest.approx(two_pass, rel=1e-6)
 
     def test_paired_seed_monotonicity_is_exact(self):
         g1 = constant_boundary(PARAMS, 0.8)
