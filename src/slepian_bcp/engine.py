@@ -212,13 +212,18 @@ def _log_matmul(p, k):
 def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
     """Non-crossing integral on a tensor Gauss-Legendre grid.
 
-    Contracts the integrand along the partition: conditional-density factors
-    couple (x_0, x_i, x_{i+1}) only, and the exponent of x_i's factor splits
-    into a part in (x_0, x_i), one in (x_i, x_{i+1}) and one in
-    (x_0, x_{i+1}), so each inner axis costs one N x N matrix product
-    (`_log_matmul`).  Log values between steps keep severely skewed
-    partitions (tiny first gap) from overflowing the rank-separated
-    conditional factors.
+    Contracts the integrand along the partition.  In canonical time
+    u = t/q the chain exponents telescope,
+
+        sum_{i=1}^{n-1} [(x_i - x_0)^2/(u_i - 1)
+                         - (x_{i+1} - x_0)^2/(u_{i+1} - 1)]
+            = (x_1 - x_0)^2/(u_1 - 1) - (x_n - x_0)^2/(u_n - 1),
+
+    and the last term cancels the pair density's (x_0 - x_n)^2 term.  What
+    is left couples (x_0, x_1) once, (x_i, x_{i+1}) along the chain and
+    (x_0, x_n) through (x_0 + x_n)^2, so each inner axis costs one N x N
+    matrix product (`_log_matmul`).  Log values between steps keep
+    severely skewed partitions (tiny first gap) from underflowing.
     """
     q = params.q
     n = len(times) - 1
@@ -233,27 +238,23 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
             return np.log(vals)
 
     # log V[l, j]: x_0 = nodes[0][l], x_1 = nodes[1][j]
-    log_v = bridge_log(0)
+    log_v = bridge_log(0) - 0.25 * ((nodes[1][None, :] - nodes[0][:, None])
+                                    ** 2 / (u[1] - 1.0))
     for i in range(1, n):
         # conditional density of x_i given (x_0, x_{i+1}), canonical scale
         pref = (0.5 * math.log(u[i + 1] - 1.0) - math.log(2.0)
                 - 0.5 * math.log(math.pi * (u[i + 1] - u[i]) * (u[i] - 1.0)))
-        e_prev = (nodes[i][None, :] - nodes[0][:, None]) ** 2 / (u[i] - 1.0)
         e_step = ((nodes[i + 1][None, :] - nodes[i][:, None]) ** 2
                   / (u[i + 1] - u[i]))
-        e_skip = ((nodes[i + 1][None, :] - nodes[0][:, None]) ** 2
-                  / (u[i + 1] - 1.0))
-        # log V'[l, k] = pref + e_skip/4 + log sum_j exp(P[l, j] + K[j, k])
-        p = log_v + np.log(weights[i])[None, :] - 0.25 * e_prev
+        # log V'[l, k] = pref + log sum_j exp(P[l, j] + K[j, k])
+        p = log_v + np.log(weights[i])[None, :]
         k = bridge_log(i) - 0.25 * e_step
-        log_v = pref + 0.25 * e_skip + _log_matmul(p, k)
+        log_v = pref + _log_matmul(p, k)
 
     log_pair = (-math.log(2.0 * math.pi)
                 - 0.5 * math.log((3.0 - u[n]) * (u[n] - 1.0))
-                - 0.25 * ((nodes[0][:, None] + nodes[n][None, :]) ** 2
-                          / (3.0 - u[n])
-                          + (nodes[0][:, None] - nodes[n][None, :]) ** 2
-                          / (u[n] - 1.0)))
+                - 0.25 * (nodes[0][:, None] + nodes[n][None, :]) ** 2
+                / (3.0 - u[n]))
     log_m = (log_v + log_pair + np.log(weights[0])[:, None]
              + np.log(weights[n])[None, :])
     mx = np.max(log_m)
@@ -284,7 +285,9 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
 
     `error` is the last successive-level difference plus 1e-14, a heuristic,
     not a bound.  QuadratureNonConvergenceError carries the last level's
-    value, that difference and its tensor size 832**(n+1).
+    value 1 - integral, not clamped to [0, 1] (outside it, the last
+    level did not resolve the integrand), that difference and its tensor
+    size 832**(n+1).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -308,7 +311,7 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
     raise QuadratureNonConvergenceError(
         f"tensor quadrature did not reach tol={tol:g} at "
         f"{_QUAD_LEVELS[-1]} nodes per axis",
-        value=min(1.0, max(0.0, 1.0 - prev)),
+        value=1.0 - prev,
         error_bound=diff, evaluations=_QUAD_LEVELS[-1] ** (n + 1))
 
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NotPositiveDefiniteError, QuadratureNonConvergenceError
 
@@ -165,10 +164,10 @@ class GaussianStream:
     statistically independent and (seed, stream_id, index) pins every
     variate regardless of how draws are split across workers.
 
-    Variates are produced by the inverse normal CDF applied to uniforms of
-    the form (k + 1/2) / 2^53, k drawn on 53 bits.  The monotone transform
-    keeps paired-seed comparisons (for example, the same stream pushed
-    through two boundaries) perfectly coupled.
+    Variates come from numpy's ziggurat sampler (Marsaglia and Tsang, 2000)
+    on that generator.  Paired-seed comparisons (for example, the same
+    stream pushed through two boundaries) stay perfectly coupled because
+    both sides read the same variates.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -179,14 +178,9 @@ class GaussianStream:
         self._gen = np.random.Generator(
             np.random.Philox(key=seed).jumped(stream_id))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms strictly inside (0, 1)."""
-        k = self._gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-        return (k.astype(np.float64) + 0.5) * 2.0 ** -53
-
     def normals(self, n: int) -> np.ndarray:
         """n standard normal variates."""
-        return ndtri(self.uniforms(n))
+        return self._gen.standard_normal(n)
 
 
 def gaussian_stream(seed: int, stream_id: int = 0) -> GaussianStream:

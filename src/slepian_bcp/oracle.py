@@ -80,7 +80,10 @@ def _grids(params: ProcessParams, t_lo: float, t_hi: float, step: float):
     Returns (times, brownian_times, idx_left, idx_right) with
     W[times[k]] = (B[idx_right[k]] - B[idx_left[k]]) / sqrt(q); the Brownian
     grid starts at t_lo - q, where B is anchored to zero (only increments
-    matter).
+    matter).  When q/step is an integer m the two indices are the basic
+    slices 0..k and m..m+k, so the window difference reads B through views
+    instead of gathering two copies; otherwise they are index arrays into
+    the merged two-lattice grid.
     """
     k = round((t_hi - t_lo) / step)
     offsets = np.arange(k + 1) * step
@@ -89,9 +92,7 @@ def _grids(params: ProcessParams, t_lo: float, t_hi: float, step: float):
     if abs(ratio - round(ratio)) < 1e-9:
         m = round(ratio)
         b_times = (t_lo - params.q) + np.arange(m + k + 1) * step
-        idx_left = np.arange(k + 1)
-        idx_right = m + np.arange(k + 1)
-        return times, b_times, idx_left, idx_right
+        return times, b_times, slice(0, k + 1), slice(m, m + k + 1)
     left = (t_lo - params.q) + offsets
     right = t_lo + offsets
     both = np.concatenate([left, right])
@@ -106,19 +107,33 @@ def _window_paths(params: ProcessParams, grid, n_paths: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (times, values) blocks of W on a grid from `_grids`.
 
-    Each block holds about _PATH_BLOCK_ELEMS Brownian grid values: the
-    increments are cumulated into B and W is read off as the window
-    difference.
+    Each block holds about _PATH_BLOCK_ELEMS Brownian grid values.
     """
     times, b_times, idx_l, idx_r = grid
     sqrt_dt = np.sqrt(np.diff(b_times))
     n_inc = len(sqrt_dt)
     block_size = max(128, _PATH_BLOCK_ELEMS // len(b_times))
     for j, k in _blocks(n_paths, block_size):
-        eps = gaussian_stream(seed, j).normals(k * n_inc)
-        eps = eps.reshape(k, n_inc) * sqrt_dt
-        b = np.concatenate([np.zeros((k, 1)), np.cumsum(eps, axis=1)], axis=1)
-        yield times, (b[:, idx_r] - b[:, idx_l]) / math.sqrt(params.q)
+        yield times, _window_block(
+            gaussian_stream(seed, j).normals(k * n_inc).reshape(k, n_inc),
+            sqrt_dt, idx_l, idx_r, params.q)
+
+
+def _window_block(eps, sqrt_dt, idx_l, idx_r, q):
+    """W on one block from its (paths x increments) standard normals.
+
+    The increments are scaled in place (`eps` is overwritten) and cumulated
+    into B, whose column 0 is the anchor 0, and W is read off as the window
+    difference.  Kept out of the generator in `_window_paths` so that the
+    draws and B are freed before the block is yielded.
+    """
+    eps *= sqrt_dt
+    b = np.empty((len(eps), eps.shape[1] + 1))
+    b[:, 0] = 0.0
+    np.cumsum(eps, axis=1, out=b[:, 1:])
+    w = b[:, idx_r] - b[:, idx_l]
+    w /= math.sqrt(q)
+    return w
 
 
 def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:

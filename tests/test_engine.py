@@ -169,6 +169,19 @@ class TestBcpQuadrature:
         assert err.error_bound > 0.5e-6
         assert err.evaluations == engine._QUAD_LEVELS[-1] ** (n + 1)
 
+    def test_nonconvergence_value_is_the_unclamped_last_level(self):
+        # the ridge at d = q + 1e-6 leaves the last level's integral above
+        # 1; the error must say so instead of reporting crossing mass 0
+        params = ProcessParams(1.0, 1.0 + 1e-6)
+        bnd = constant_boundary(params, 1.0)
+        part = Partition.from_boundary(bnd)
+        with pytest.raises(QuadratureNonConvergenceError) as info:
+            bcp_quadrature(bnd, part, tol=1e-6)
+        last = engine._noncross_tensor_gl(
+            params, part.times, [bnd.evaluate(t) for t in part.times],
+            engine._local_pieces(bnd, part), engine._QUAD_LEVELS[-1])
+        assert info.value.value == 1.0 - last
+
     def test_short_horizon_converges(self):
         params = ProcessParams(1.0, 1.001)
         bnd = constant_boundary(params, 1.0)

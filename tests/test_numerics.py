@@ -1,11 +1,15 @@
 """Tests for the shared numerical kernels."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import slepian_bcp
 from slepian_bcp import (NotPositiveDefiniteError,
                          QuadratureNonConvergenceError, cholesky,
                          gaussian_stream, integrate_adaptive)
@@ -140,3 +144,14 @@ class TestGaussianStream:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             gaussian_stream(-1, 0)
+
+
+def test_package_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for tests alone
+    src = os.path.dirname(os.path.dirname(slepian_bcp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, slepian_bcp; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

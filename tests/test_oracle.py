@@ -11,8 +11,8 @@ from slepian_bcp import (AffinePiece, BridgeSpec, DomainError,
                          PiecewiseAffineBoundary, ProcessParams, SimConfig,
                          affine_boundary, bcp_quadrature, constant_boundary,
                          dump_paths, empirical_bcp, empirical_bridge_noncross,
-                         empirical_covariance, noncross_constant,
-                         simulate_paths)
+                         empirical_covariance, gaussian_stream,
+                         noncross_constant, simulate_paths)
 
 PARAMS = ProcessParams(1.0, 2.0)
 
@@ -21,6 +21,31 @@ def _collect(cfg, **kw):
     blocks = [w for _, w in simulate_paths(cfg, **kw)]
     times = next(iter(simulate_paths(cfg, **kw)))[0]
     return times, np.concatenate(blocks, axis=0)
+
+
+def _reference_window(params, step, n_paths, seed):
+    """W = (B[:, idx_r] - B[:, idx_l]) / sqrt(q) with explicit index arrays,
+    B cumulated from one block of `gaussian_stream(seed, 0)` increments."""
+    k = round((params.d - params.q) / step)
+    offsets = np.arange(k + 1) * step
+    m = params.q / step
+    if abs(m - round(m)) < 1e-9:
+        b_times = np.arange(round(m) + k + 1) * step
+        idx_l = np.arange(k + 1)
+        idx_r = round(m) + np.arange(k + 1)
+    else:
+        both = np.concatenate([offsets, params.q + offsets])
+        order = np.argsort(both, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(both))
+        b_times = both[order]
+        idx_l, idx_r = rank[:k + 1], rank[k + 1:]
+    sqrt_dt = np.sqrt(np.diff(b_times))
+    eps = gaussian_stream(seed, 0).normals(n_paths * len(sqrt_dt))
+    eps = eps.reshape(n_paths, len(sqrt_dt)) * sqrt_dt
+    b = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)],
+                       axis=1)
+    return (b[:, idx_r] - b[:, idx_l]) / math.sqrt(params.q)
 
 
 class TestSimConfig:
@@ -77,6 +102,18 @@ class TestSimulatePaths:
         assert times[-1] == pytest.approx(1.2)
         var = w[:, 5].var(ddof=1)
         assert abs(var - 1.0) <= 3.0 / math.sqrt(2.0 * 20_000)
+
+    @pytest.mark.parametrize("params, step", [
+        (PARAMS, 1e-2),
+        # q/step = 14 within rounding, so this is an integer-ratio grid too
+        (ProcessParams(0.7, 1.2), 0.05),
+        (ProcessParams(0.73, 1.23), 0.05),
+    ], ids=["integer_ratio", "ratio_14_rounded", "two_lattice"])
+    def test_matches_index_array_window_bit_for_bit(self, params, step):
+        cfg = SimConfig(params, step, 500, 31)
+        _, w = _collect(cfg)
+        np.testing.assert_array_equal(
+            w, _reference_window(params, step, 500, 31))
 
 
 class TestEmpiricalBcp:
