@@ -168,7 +168,9 @@ class PiecewiseAffineBoundary:
         """
         if not t_lo < t_hi:
             raise DomainError("need t_lo < t_hi")
-        piece = self.pieces[self._piece_index(t_lo)]
+        # the midpoint, not t_lo: a t_lo that rounds just below a knot
+        # still belongs to the piece that starts there
+        piece = self.pieces[self._piece_index(0.5 * (t_lo + t_hi))]
         if t_lo < piece.t_start - 1e-12 or t_hi > piece.t_end + 1e-12:
             raise DomainError(
                 f"[{t_lo}, {t_hi}] is not covered by a single boundary piece")

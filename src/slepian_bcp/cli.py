@@ -30,8 +30,8 @@ from .boundary import (PiecewiseAffineBoundary, affine_boundary,
 from .bridge import (BridgeSpec, hitting_density_double,
                      hitting_density_single, noncross_affine,
                      noncross_constant)
-from .engine import (Partition, bcp_montecarlo, bcp_quadrature,
-                     convergence_study)
+from .engine import (Partition, _union_partition, bcp_montecarlo,
+                     bcp_quadrature, convergence_study)
 from .errors import (DomainError, NotPositiveDefiniteError,
                      QuadratureNonConvergenceError, SlepianError)
 from .oracle import SimConfig, dump_paths, empirical_bcp, \
@@ -86,11 +86,9 @@ def _resolve_partition(spec: str, bnd: PiecewiseAffineBoundary) -> Partition:
         count = int(spec)
     except ValueError:
         times = _floats(spec)
-        union = sorted(set(times) | set(bnd.knots))
-        return Partition(bnd.params, tuple(union))
-    part = Partition.equidistant(bnd.params, count)
-    union = sorted(set(part.times) | set(bnd.knots))
-    return Partition(bnd.params, tuple(union))
+    else:
+        times = Partition.equidistant(bnd.params, count).times
+    return _union_partition(bnd.params, [bnd.knots, times])
 
 
 def _base_record(params: ProcessParams, partition, digest, seed, method):
@@ -288,8 +286,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="output file; default stdout")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker bound for Monte-Carlo blocks "
-                          "(default: SLEPIAN_BCP_WORKERS or 1)")
+                     help="worker bound for Monte-Carlo blocks (default 1)")
     sub.add_argument("--seed", type=int, default=0)
 
 

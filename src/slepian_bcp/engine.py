@@ -12,19 +12,10 @@ module.  Because the bridge factors are exact, the value does not depend on
 the partition (partition invariance) as long as g is affine on every
 subinterval.
 
-Written out with the pair/conditional densities, the integrand is
-
-    c * prod_{i=1}^{n-1} sqrt(t_{i+1}-q) / sqrt((t_{i+1}-t_i)(t_i-q))
-      * exp[-(q/4) ((x_0+x_n)^2/(3q-d) + (x_0-x_n)^2/(d-q))]
-      * prod_{i=1}^{n-1} exp[-(q/4) ((x_i-x_0)^2/(t_i-q)
-            + (x_{i+1}-x_i)^2/(t_{i+1}-t_i) - (x_{i+1}-x_0)^2/(t_{i+1}-q))]
-      * prod bridge factors,
-
-    c = q^{(n+1)/2} / (2^n pi^{(n+1)/2} sqrt((3q-d)(d-q))),
-
-which is exactly the pair density at (t_0, t_n) times the chain of
-conditional densities of x_i given (x_0, x_{i+1}); `bcp_integrand`
-exposes it for testing and the quadrature engine contracts it axis by axis.
+The joint density is the nearest-neighbour form stated once in
+`process.fdd_log_density`: adjacent values couple, plus one (x_0 + x_n)^2
+term tying the ends together.  `bcp_integrand` exposes the integrand for
+testing, and the quadrature engine contracts the same form axis by axis.
 
 Two evaluators:
 
@@ -41,7 +32,7 @@ Two evaluators:
 from __future__ import annotations
 
 import math
-import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,7 +43,8 @@ from .boundary import PiecewiseAffineBoundary, approximate
 from .bridge import noncross_affine_product
 from .errors import DomainError, QuadratureNonConvergenceError
 from .numerics import cholesky, gauss_legendre_on, gaussian_stream
-from .process import ProcessParams, covariance_matrix
+from .process import (GaussianVectorSpec, ProcessParams, covariance_matrix,
+                      fdd_density)
 
 _QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208, 288, 416, 576, 832)
 _TAIL_CUT = 8.0         # marginal sd is 1; omitted mass < 1e-15 per axis
@@ -148,37 +140,20 @@ def bcp_integrand(partition: Partition,
                        boundary: PiecewiseAffineBoundary, x) -> float:
     """The full (n+1)-dimensional integrand at the point x.
 
-    Prefactors and exponents are accumulated in log space and exponentiated
-    once; the bridge factors multiply in probability space.  Integrating
-    this over the orthant prod (-inf, g(t_i)] gives the non-crossing
-    probability.
+    `fdd_density` at the partition times, multiplied by the bridge
+    factors.  Integrating this over the orthant prod (-inf, g(t_i)] gives
+    the non-crossing probability.
     """
     x = np.asarray(x, dtype=float)
-    n = partition.n
-    if x.shape != (n + 1,):
-        raise DomainError(f"x must have length {n + 1}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    q, d = partition.params.q, partition.params.d
-    t = partition.times
     pieces = _local_pieces(boundary, partition)
-
-    log_c = (0.5 * (n + 1) * math.log(q) - n * math.log(2.0)
-             - 0.5 * (n + 1) * math.log(math.pi)
-             - 0.5 * math.log((3.0 * q - d) * (d - q)))
-    log_val = log_c
-    log_val -= (q / 4.0) * ((x[0] + x[n]) ** 2 / (3.0 * q - d)
-                            + (x[0] - x[n]) ** 2 / (d - q))
-    for i in range(1, n):
-        log_val += 0.5 * (math.log(t[i + 1] - q)
-                          - math.log((t[i + 1] - t[i]) * (t[i] - q)))
-        log_val -= (q / 4.0) * ((x[i] - x[0]) ** 2 / (t[i] - q)
-                                + (x[i + 1] - x[i]) ** 2 / (t[i + 1] - t[i])
-                                - (x[i + 1] - x[0]) ** 2 / (t[i + 1] - q))
-    bridges = 1.0
+    value = fdd_density(GaussianVectorSpec(partition.params, partition.times),
+                        x)
     for i, (h, b, a) in enumerate(pieces):
-        bridges *= noncross_affine_product(q, h, b, a, x[i], x[i + 1])
-    return math.exp(log_val) * bridges
+        value *= noncross_affine_product(partition.params.q, h, b, a,
+                                         x[i], x[i + 1])
+    return value
 
 
 def _axis_rules(limits, n_nodes):
@@ -212,50 +187,38 @@ def _log_matmul(p, k):
 def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
     """Non-crossing integral on a tensor Gauss-Legendre grid.
 
-    Contracts the integrand along the partition.  In canonical time
-    u = t/q the chain exponents telescope,
-
-        sum_{i=1}^{n-1} [(x_i - x_0)^2/(u_i - 1)
-                         - (x_{i+1} - x_0)^2/(u_{i+1} - 1)]
-            = (x_1 - x_0)^2/(u_1 - 1) - (x_n - x_0)^2/(u_n - 1),
-
-    and the last term cancels the pair density's (x_0 - x_n)^2 term.  What
-    is left couples (x_0, x_1) once, (x_i, x_{i+1}) along the chain and
-    (x_0, x_n) through (x_0 + x_n)^2, so each inner axis costs one N x N
-    matrix product (`_log_matmul`).  Log values between steps keep
-    severely skewed partitions (tiny first gap) from underflowing.
+    Contracts `process.fdd_log_density`'s nearest-neighbour form along the
+    partition: step i couples (x_i, x_{i+1}) through its bridge factor and
+    increment term, so each inner axis costs one N x N matrix product
+    (`_log_matmul`), and the (x_0 + x_n)^2 term closes the chain.  Log
+    values between steps keep severely skewed partitions (tiny first gap)
+    from underflowing.
     """
     q = params.q
     n = len(times) - 1
-    u = np.asarray(times) / q
+    # per-level scalars stay Python floats: numpy calls on scalars are a
+    # visible share of a level at small N
+    u = [t / q for t in times]
+    du = [b - a for a, b in zip(u, u[1:])]
+    dcap = 2.0 - (u[n] - u[0])
+    log_c = (-n * math.log(2.0) - 0.5 * (n + 1) * math.log(math.pi)
+             - 0.5 * math.log(dcap) - 0.5 * sum(map(math.log, du)))
     nodes, weights = _axis_rules(limits, n_nodes)
 
-    def bridge_log(i):
+    def step_log(i):
+        # rows x_i = nodes[i], columns x_{i+1} = nodes[i + 1]
         h, b, a = pieces[i]
-        vals = noncross_affine_product(q, h, b, a, nodes[i][:, None],
-                                       nodes[i + 1][None, :])
+        lo, hi = nodes[i][:, None], nodes[i + 1][None, :]
         with np.errstate(divide="ignore"):
-            return np.log(vals)
+            bridge = np.log(noncross_affine_product(q, h, b, a, lo, hi))
+        return bridge - 0.25 * (hi - lo) ** 2 / du[i]
 
-    # log V[l, j]: x_0 = nodes[0][l], x_1 = nodes[1][j]
-    log_v = bridge_log(0) - 0.25 * ((nodes[1][None, :] - nodes[0][:, None])
-                                    ** 2 / (u[1] - 1.0))
+    log_v = step_log(0)
     for i in range(1, n):
-        # conditional density of x_i given (x_0, x_{i+1}), canonical scale
-        pref = (0.5 * math.log(u[i + 1] - 1.0) - math.log(2.0)
-                - 0.5 * math.log(math.pi * (u[i + 1] - u[i]) * (u[i] - 1.0)))
-        e_step = ((nodes[i + 1][None, :] - nodes[i][:, None]) ** 2
-                  / (u[i + 1] - u[i]))
-        # log V'[l, k] = pref + log sum_j exp(P[l, j] + K[j, k])
-        p = log_v + np.log(weights[i])[None, :]
-        k = bridge_log(i) - 0.25 * e_step
-        log_v = pref + _log_matmul(p, k)
+        log_v = _log_matmul(log_v + np.log(weights[i])[None, :], step_log(i))
 
-    log_pair = (-math.log(2.0 * math.pi)
-                - 0.5 * math.log((3.0 - u[n]) * (u[n] - 1.0))
-                - 0.25 * (nodes[0][:, None] + nodes[n][None, :]) ** 2
-                / (3.0 - u[n]))
-    log_m = (log_v + log_pair + np.log(weights[0])[:, None]
+    log_m = (log_v - 0.25 * (nodes[0][:, None] + nodes[n][None, :]) ** 2
+             / dcap + (log_c + np.log(weights[0]))[:, None]
              + np.log(weights[n])[None, :])
     mx = np.max(log_m)
     if not np.isfinite(mx):
@@ -324,12 +287,9 @@ def _blocks(n_paths: int, block_size: int) -> list[tuple[int, int]]:
 def _map_blocks(run_block, blocks, workers: int | None):
     """Yield run_block(block) in block order, on up to `workers` threads.
 
-    `workers` defaults to SLEPIAN_BCP_WORKERS, else 1.
+    `workers=None` means 1.
     """
-    if workers is None:
-        env = os.environ.get("SLEPIAN_BCP_WORKERS")
-        workers = int(env) if env else 1
-    if workers > 1 and len(blocks) > 1:
+    if workers is not None and workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run_block, blocks)
     else:
@@ -431,15 +391,21 @@ class StudyRow:
 
 
 def _union_partition(params: ProcessParams,
-                     boundaries: Sequence[PiecewiseAffineBoundary]) -> Partition:
-    knots = np.sort(np.concatenate([np.asarray(b.knots) for b in boundaries]))
+                     time_sets: Sequence[Sequence[float]]) -> Partition:
+    """Partition on the union of several time sets.
+
+    Every time of an earlier set is kept; a later time within
+    1e-12 (d - q) of one already kept is dropped, so times that agree only
+    up to rounding enter once, as the earliest set has them.
+    """
     tol = 1e-12 * (params.d - params.q)
-    merged = [knots[0]]
-    for t in knots[1:]:
-        if t - merged[-1] > tol:
-            merged.append(t)
-    merged[0], merged[-1] = params.q, params.d
-    return Partition(params, tuple(merged))
+    kept: list[float] = []
+    for times in time_sets:
+        for t in map(float, times):
+            i = bisect_left(kept, t)
+            if all(abs(t - k) > tol for k in kept[max(i - 1, 0):i + 1]):
+                kept.insert(i, t)
+    return Partition(params, tuple(kept))
 
 
 def convergence_study(f: Callable[[float], float], params: ProcessParams,
@@ -474,7 +440,7 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
     if method != "mc":
         raise DomainError(f"unknown method {method!r}")
 
-    partition = _union_partition(params, boundaries)
+    partition = _union_partition(params, [b.knots for b in boundaries])
     mean, se = _skeleton_mc(partition, boundaries, n_paths, seed, workers)
     nb = len(boundaries)
     rows = []

@@ -20,8 +20,10 @@ product form
 with D = 2 - (s_m - s_1).  Only adjacent values couple, apart from the
 single (x_1 + x_m) term tying the two ends together; this quasi-Markov
 structure is what the crossing-probability factorization in the engine
-module rests on.  For d > 2q the structure breaks down and the constructor
-refuses the parameters.
+module rests on.  `fdd_log_density` is the one place the form is written
+out: the pair and conditional densities below, and the engine's integrand
+and quadrature chain, are derived from it.  For d > 2q the structure
+breaks down and the constructor refuses the parameters.
 """
 
 from __future__ import annotations
@@ -167,10 +169,7 @@ def pair_log_density(params: ProcessParams, t0: float, ti: float,
     if not (params.q < ti <= params.d):
         raise DomainError(
             f"ti must lie in ({params.q}, {params.d}], got {ti}")
-    ui = ti / params.q
-    logv = -_LOG_2PI - 0.5 * math.log((3.0 - ui) * (ui - 1.0))
-    logv -= 0.25 * ((x0 + xi) ** 2 / (3.0 - ui) + (x0 - xi) ** 2 / (ui - 1.0))
-    return logv
+    return fdd_log_density(GaussianVectorSpec(params, (t0, ti)), [x0, xi])
 
 
 def pair_density(params: ProcessParams, t0: float, ti: float,
@@ -191,14 +190,9 @@ def conditional_log_density(params: ProcessParams, t0: float, ti: float,
         raise DomainError(
             f"times must satisfy q = t0 < ti < ti1 <= d, got "
             f"({t0}, {ti}, {ti1})")
-    q = params.q
-    ui, ui1 = ti / q, ti1 / q
-    logv = (0.5 * math.log(ui1 - 1.0) - math.log(2.0)
-            - 0.5 * math.log(math.pi * (ui1 - ui) * (ui - 1.0)))
-    logv -= 0.25 * ((xi - x0) ** 2 / (ui - 1.0)
-                    + (xi1 - xi) ** 2 / (ui1 - ui)
-                    - (xi1 - x0) ** 2 / (ui1 - 1.0))
-    return logv
+    joint = fdd_log_density(GaussianVectorSpec(params, (t0, ti, ti1)),
+                            [x0, xi, xi1])
+    return joint - pair_log_density(params, t0, ti1, x0, xi1)
 
 
 def conditional_density(params: ProcessParams, t0: float, ti: float,

@@ -45,6 +45,17 @@ class TestEvaluate:
         bnd = constant_boundary(PARAMS, 2.0)
         assert bnd(1.3) == 2.0
 
+    def test_local_affine_from_just_below_a_knot(self):
+        pieces = (AffinePiece(1.0, 1.5, 1.0, 0.0),
+                  AffinePiece(1.5, 2.0, 0.5, 2.0))
+        bnd = PiecewiseAffineBoundary(PARAMS, pieces)
+        t_lo = math.nextafter(1.5, 0.0)
+        b, a = bnd.local_affine(t_lo, 1.75)
+        assert a == 2.0
+        assert b == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(DomainError):
+            bnd.local_affine(1.25, 1.75)
+
 
 class TestConstruction:
     def test_rejects_gap(self):

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from slepian_bcp import ProcessParams, affine_boundary, dump_boundary
+from slepian_bcp import (ProcessParams, affine_boundary, approximate,
+                         dump_boundary)
 from slepian_bcp.cli import main
 
 
@@ -146,6 +147,27 @@ def test_converge_partition_auto_uses_boundary_knots(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["partition"] == [1.0, 2.0]
+
+
+def test_partition_count_merges_knots_equal_up_to_rounding(capsys, tmp_path):
+    # the file's knots and the 2-piece grid's midpoint differ by one ulp;
+    # a union by exact equality would keep both, one ulp apart
+    params = ProcessParams(0.9, 1.755)
+    path = tmp_path / "b.json"
+    dump_boundary(approximate(lambda t: 0.8 + 0.2 * t, params, 6), str(path))
+    args = ["compute", "--q", "0.9", "--d", "1.755", "--boundary", str(path),
+            "--method", "quad"]
+    code, out, _ = run_cli(capsys, *args, "--partition", "auto")
+    assert code == 0
+    auto = json.loads(out)
+    code, out, _ = run_cli(capsys, *args, "--partition", "2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["partition"] == auto["partition"]
+    assert rec["value"] == pytest.approx(auto["value"], abs=1e-15)
+    code, _, err = run_cli(capsys, *args, "--partition", "0")
+    assert code == 2
+    assert "subinterval" in err
 
 
 def test_output_file(capsys, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from slepian_bcp import (AffinePiece, DomainError, Estimate,
                          GaussianVectorSpec, Partition,
@@ -63,12 +64,14 @@ class TestEstimate:
 
 class TestBcpIntegrand:
     def test_factorization_matches_joint_density(self):
-        # pair density x conditional chain == joint density, so the
-        # integrand equals fdd * bridge factors
+        # the integrand is the joint density times the bridge factors, both
+        # as `fdd_density` states it and as the Gaussian with the process
+        # covariance gives it
         rng = np.random.default_rng(31)
         part = Partition.equidistant(PARAMS, 2)
         spec = GaussianVectorSpec(PARAMS, part.times)
         bnd = constant_boundary(PARAMS, 1.0)
+        gauss = multivariate_normal(cov=covariance_matrix(PARAMS, part.times))
         for _ in range(100):
             x = rng.normal(size=3) * 1.5
             ours = bcp_integrand(part, bnd, x)
@@ -80,6 +83,9 @@ class TestBcpIntegrand:
             ref = fdd_density(spec, x) * factors
             if ref > 0:
                 assert abs(ours - ref) <= 1e-10 * ref
+            indep = gauss.pdf(x) * factors
+            if indep > 0:
+                assert abs(ours - indep) <= 1e-10 * indep
 
     def test_far_boundary_reduces_to_density(self):
         part = Partition.equidistant(PARAMS, 3)
@@ -387,6 +393,22 @@ class TestConvergenceStudy:
             assert a.estimate.error == b.estimate.error
             assert a.diff_prev == b.diff_prev
             assert a.diff_se == b.diff_se
+
+    def test_knots_equal_up_to_rounding(self):
+        # np.linspace puts the knots at 1/3 and 2/3 of the span one ulp
+        # lower for 9 pieces than for 3 and 15; each must count as one knot
+        params = ProcessParams(1.4429814122259543, 2.6398270895049794)
+        rows = convergence_study(lambda t: 1 + 0.1 * math.sin(3 * t), params,
+                                 [3, 9, 15], n_paths=20_000)
+        assert [r.n_pieces for r in rows] == [3, 9, 15]
+        for row in rows[1:]:
+            assert row.diff_se < row.estimate.error
+
+    def test_union_partition_keeps_earlier_times(self):
+        tol = 1e-12 * (PARAMS.d - PARAMS.q)
+        part = engine._union_partition(
+            PARAMS, [(1.0, 1.5, 2.0), (1.0, 1.5 + tol / 2, 1.75, 2.0)])
+        assert part.times == (1.0, 1.5, 1.75, 2.0)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):

@@ -93,13 +93,16 @@ class TestSimulatePaths:
         corr = np.corrcoef(w[:, 0], w[:, -1])[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(n)
 
-    def test_fractional_window_grid(self):
-        # q not a multiple of the step exercises the two-lattice grid
-        params = ProcessParams(0.7, 1.2)
+    @pytest.mark.parametrize("q, d", [(0.7, 1.2), (0.73, 1.23)],
+                             ids=["ratio_14_rounded", "two_lattice"])
+    def test_fractional_window_grid(self, q, d):
+        # q/step = 13.999999999999998 rounds to the integer ratio 14; 14.6
+        # is a true fraction and takes the two-lattice grid
+        params = ProcessParams(q, d)
         cfg = SimConfig(params, 0.05, 20_000, 4)
         times, w = _collect(cfg)
-        assert times[0] == pytest.approx(0.7)
-        assert times[-1] == pytest.approx(1.2)
+        assert times[0] == pytest.approx(q)
+        assert times[-1] == pytest.approx(d)
         var = w[:, 5].var(ddof=1)
         assert abs(var - 1.0) <= 3.0 / math.sqrt(2.0 * 20_000)
 
