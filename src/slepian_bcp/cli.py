@@ -26,7 +26,7 @@ import time
 
 from . import boundary as boundary_mod
 from .boundary import (PiecewiseAffineBoundary, affine_boundary,
-                       approximate, constant_boundary, load_boundary)
+                       constant_boundary, load_boundary)
 from .bridge import (BridgeSpec, hitting_density_double,
                      hitting_density_single, noncross_affine,
                      noncross_constant)
@@ -270,10 +270,9 @@ def _cmd_converge(args) -> list[dict]:
     elapsed = time.perf_counter() - start
     records = []
     for row in rows:
-        bnd = approximate(f, params, row.n_pieces, args.mode)
-        rec = _base_record(params, bnd.knots,
+        rec = _base_record(params, row.boundary.knots,
                            _boundary_digest(
-                               boundary_mod.boundary_to_dict(bnd)),
+                               boundary_mod.boundary_to_dict(row.boundary)),
                            row.estimate.seed, row.estimate.method)
         rec.update(value=row.estimate.value, error=row.estimate.error,
                    wall_time=elapsed, n_pieces=row.n_pieces,

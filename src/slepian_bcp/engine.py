@@ -20,9 +20,12 @@ testing, and the quadrature engine contracts the same form axis by axis.
 Two evaluators:
 
 * `bcp_quadrature` - deterministic tensor Gauss-Legendre, refined along a
-  ladder of 16 to 832 nodes per axis; the chain structure reduces each of
-  the n - 1 inner axes to one N x N matrix product, so the cost per level
-  is O(n N^3) flops and O(n N^2) exp calls for any partition size n.
+  ladder of 16 to 1664 nodes per axis.  The chain structure reduces each
+  step to one matrix product.  Its rows are either the N nodes of x_0 or
+  the M nodes of a latent variable z that writes the (x_0 + x_n)^2 term as
+  a Gaussian mixture, whichever is cheaper, so a level costs
+  O(n min(M, N) N^2) flops, O(n N^2) exp calls and O(min(M, N) N) memory
+  for any partition size n.
 * `bcp_montecarlo` - draws the skeleton vector X ~ N(0, Sigma) and averages
   one minus the product of indicators and bridge factors; unbiased for
   every n, with seed-derived block streams so results do not depend on
@@ -46,9 +49,13 @@ from .numerics import cholesky, gauss_legendre_on, gaussian_stream
 from .process import (GaussianVectorSpec, ProcessParams, covariance_matrix,
                       fdd_density)
 
-_QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208, 288, 416, 576, 832)
+_QUAD_LEVELS = (16, 24, 32, 48, 64, 96, 144, 208, 288, 416, 576, 832, 1152,
+                1664)
 _TAIL_CUT = 8.0         # marginal sd is 1; omitted mass < 1e-15 per axis
 _UPPER_CAP = 8.5
+_Z_STEP = 0.45          # latent grid spacing; see _noncross_tensor_gl
+_Z_PAD = 7.0            # latent range pad beyond the extreme centres, in sqrt(D)
+_PANEL = 256            # columns per right-factor panel on latent rows
 _MC_BLOCK = 131_072     # skeleton samples per seed-indexed block
 
 
@@ -156,16 +163,36 @@ def bcp_integrand(partition: Partition,
     return value
 
 
+def _axis_box(g):
+    """Truncated integration range of an axis with upper limit g."""
+    return min(g, 0.0) - _TAIL_CUT, min(g, _UPPER_CAP)
+
+
 def _axis_rules(limits, n_nodes):
     """Gauss-Legendre nodes/weights per axis on the truncated orthant."""
     nodes, weights = [], []
     for g in limits:
-        lo = min(g, 0.0) - _TAIL_CUT
-        hi = min(g, _UPPER_CAP)
-        x, w = gauss_legendre_on(lo, hi, n_nodes)
+        x, w = gauss_legendre_on(*_axis_box(g), n_nodes)
         nodes.append(x)
         weights.append(w)
     return nodes, weights
+
+
+def _latent_grid(limits, dcap, n, n_nodes):
+    """(first node, count) of the latent grid, or None for x_0 rows.
+
+    The latent integrand of a pair (x_0, x_n) is a Gaussian of sd
+    sqrt(dcap / 2) centred at (x_n - x_0) / 2; the grid has spacing
+    _Z_STEP and covers every centre the two boxes allow, padded by
+    _Z_PAD sqrt(dcap).  Its M nodes are used when n M < (n - 1) N, the
+    flop ratio of the two bases, so n = 1 always takes x_0 rows.
+    """
+    lo0, hi0 = _axis_box(limits[0])
+    lon, hin = _axis_box(limits[-1])
+    pad = _Z_PAD * math.sqrt(dcap)
+    z_lo = 0.5 * (lon - hi0) - pad
+    n_z = math.ceil((0.5 * (hin - lo0) + pad - z_lo) / _Z_STEP) + 1
+    return (z_lo, n_z) if n * n_z < (n - 1) * n_nodes else None
 
 
 def _log_matmul(p, k):
@@ -173,15 +200,21 @@ def _log_matmul(p, k):
 
     One matrix product and O(N^2) exp/log calls; a row or column whose
     maximum is -inf gives -inf.  A sum that underflows after scaling is
-    below ~1e-308 of exp(row max + column max).
+    below ~1e-308 of exp(row max + column max).  `k` may also be an
+    iterable of column panels of the right factor, contracted one at a
+    time and joined in order, so the whole factor is never held.
     """
     row = np.max(p, axis=1)
-    col = np.max(k, axis=0)
     row0 = np.where(np.isfinite(row), row, 0.0)
-    col0 = np.where(np.isfinite(col), col, 0.0)
-    prod = np.exp(p - row0[:, None]) @ np.exp(k - col0[None, :])
-    with np.errstate(divide="ignore"):
-        return row[:, None] + col[None, :] + np.log(prod)
+    ep = np.exp(p - row0[:, None])
+    out = []
+    for panel in ((k,) if isinstance(k, np.ndarray) else k):
+        col = np.max(panel, axis=0)
+        col0 = np.where(np.isfinite(col), col, 0.0)
+        prod = ep @ np.exp(panel - col0[None, :])
+        with np.errstate(divide="ignore"):
+            out.append(row[:, None] + col[None, :] + np.log(prod))
+    return out[0] if len(out) == 1 else np.hstack(out)
 
 
 def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
@@ -189,10 +222,28 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
 
     Contracts `process.fdd_log_density`'s nearest-neighbour form along the
     partition: step i couples (x_i, x_{i+1}) through its bridge factor and
-    increment term, so each inner axis costs one N x N matrix product
-    (`_log_matmul`), and the (x_0 + x_n)^2 term closes the chain.  Log
+    increment term, and the (x_0 + x_n)^2 term closes the chain.  Log
     values between steps keep severely skewed partitions (tiny first gap)
     from underflowing.
+
+    The carried matrix has one of two row bases.  With x_0 rows it is
+    N x N, each inner axis costs one N x N x N product (`_log_matmul`),
+    and the closing term is added entrywise.  With latent rows the closing
+    term is written as a Gaussian mixture over one variable z,
+
+        exp(-(x_0 + x_n)^2 / 4D)
+            = (pi D)^(-1/2) * integral exp(-(z + x_0)^2 / 2D
+                                           - (z - x_n)^2 / 2D) dz,
+
+    D = 2 - (d - q)/q >= 1, integrated by the trapezoid rule on M uniform
+    nodes.  The chain then carries an M x N matrix, and every one of the n
+    steps, step 0 included, is an M x N x N product whose right factor
+    is formed in column panels of at most _PANEL columns.  The trapezoid
+    rule's error relative to each entry is at most
+    2 exp(-pi^2 D / _Z_STEP^2) <= 1.3e-21; the z integrand of a pair is
+    Gaussian with sd sqrt(D/2), and the grid reaches 7 sqrt(D) past the
+    extreme centres.  `_latent_grid` picks the cheaper basis, so a level
+    costs O(n min(M, N) N^2) flops and O(min(M, N) N) memory.
     """
     q = params.q
     n = len(times) - 1
@@ -203,23 +254,37 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
     dcap = 2.0 - (u[n] - u[0])
     log_c = (-n * math.log(2.0) - 0.5 * (n + 1) * math.log(math.pi)
              - 0.5 * math.log(dcap) - 0.5 * sum(map(math.log, du)))
+    latent = _latent_grid(limits, dcap, n, n_nodes)
     nodes, weights = _axis_rules(limits, n_nodes)
 
-    def step_log(i):
-        # rows x_i = nodes[i], columns x_{i+1} = nodes[i + 1]
+    def step_log(i, cols=slice(None)):
+        # rows x_i = nodes[i], columns x_{i+1} = nodes[i + 1][cols]
         h, b, a = pieces[i]
-        lo, hi = nodes[i][:, None], nodes[i + 1][None, :]
+        lo, hi = nodes[i][:, None], nodes[i + 1][None, cols]
         with np.errstate(divide="ignore"):
             bridge = np.log(noncross_affine_product(q, h, b, a, lo, hi))
         return bridge - 0.25 * (hi - lo) ** 2 / du[i]
 
-    log_v = step_log(0)
-    for i in range(1, n):
-        log_v = _log_matmul(log_v + np.log(weights[i])[None, :], step_log(i))
-
-    log_m = (log_v - 0.25 * (nodes[0][:, None] + nodes[n][None, :]) ** 2
-             / dcap + (log_c + np.log(weights[0]))[:, None]
-             + np.log(weights[n])[None, :])
+    if latent is None:
+        log_v = step_log(0)
+        for i in range(1, n):
+            log_v = _log_matmul(log_v + np.log(weights[i])[None, :],
+                                step_log(i))
+        log_m = (log_v - 0.25 * (nodes[0][:, None] + nodes[n][None, :]) ** 2
+                 / dcap + (log_c + np.log(weights[0]))[:, None]
+                 + np.log(weights[n])[None, :])
+    else:
+        z_lo, n_z = latent
+        z = z_lo + _Z_STEP * np.arange(n_z)
+        log_v = -0.5 * (z[:, None] + nodes[0][None, :]) ** 2 / dcap
+        for i in range(n):
+            log_v = _log_matmul(
+                log_v + np.log(weights[i])[None, :],
+                (step_log(i, slice(c, c + _PANEL))
+                 for c in range(0, n_nodes, _PANEL)))
+        log_c += math.log(_Z_STEP) - 0.5 * math.log(math.pi * dcap)
+        log_m = (log_v - 0.5 * (z[:, None] - nodes[n][None, :]) ** 2 / dcap
+                 + (log_c + np.log(weights[n]))[None, :])
     mx = np.max(log_m)
     if not np.isfinite(mx):
         return 0.0
@@ -232,25 +297,25 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
     """Crossing probability by deterministic nested quadrature.
 
     Works for any number n of subintervals: the n + 1 dimensional
-    integral is contracted along the partition with one N x N matrix
-    product per inner axis.  Semi-infinite axes are truncated at
-    min(g(t_i), 0) - 8 below and capped at 8.5 above (marginal sd is 1, so
-    the omitted mass is < 1e-15 per axis) and the tensor rule is refined
-    along N = 16, 24, ..., 832 nodes per axis until two successive levels
-    agree within tol.
+    integral is contracted along the partition with one matrix product
+    per step, carrying either x_0 rows or latent rows (see
+    `_noncross_tensor_gl`), at O(n min(M, N) N^2) flops per level.
+    Semi-infinite axes are truncated at min(g(t_i), 0) - 8 below and
+    capped at 8.5 above (marginal sd is 1, so the omitted mass is < 1e-15
+    per axis) and the tensor rule is refined along N = 16, 24, ..., 1664
+    nodes per axis until two successive levels agree within tol.
 
     A subinterval much shorter than its neighbours makes the conditional
-    factor along that axis narrow (sd ~ sqrt(gap)) and can exhaust the
-    refinement ladder; since the value is partition-invariant, prefer the
-    minimal partition (the boundary knots) in that case.  A very short
-    horizon does the same to the (x_0, x_n) pair density (sd ~
-    sqrt((d - q)/q)): d = 1.001 q converges, d = q + 1e-6 does not.
+    factor along that axis narrow (sd ~ sqrt(gap)); the top of the ladder
+    resolves a first gap of 1% of a span of 2% of q.  A very short horizon
+    narrows the (x_0, x_n) pair density (sd ~ sqrt((d - q)/q)) the same
+    way: d = 1.001 q converges, d = q + 1e-6 does not.
 
     `error` is the last successive-level difference plus 1e-14, a heuristic,
     not a bound.  QuadratureNonConvergenceError carries the last level's
     value 1 - integral, not clamped to [0, 1] (outside it, the last
     level did not resolve the integrand), that difference and its tensor
-    size 832**(n+1).
+    size 1664**(n+1).
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -382,9 +447,11 @@ def bcp_montecarlo(boundary: PiecewiseAffineBoundary,
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One resolution level of a boundary-approximation convergence study."""
+    """One resolution level of a boundary-approximation convergence study:
+    the approximant the study built and evaluated, and its estimate."""
 
     n_pieces: int
+    boundary: PiecewiseAffineBoundary
     estimate: Estimate
     diff_prev: float | None = None
     diff_se: float | None = None
@@ -434,7 +501,7 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
         for c, bnd in zip(counts, boundaries):
             est = bcp_quadrature(bnd, tol=tol)
             diff = None if prev is None else est.value - prev.value
-            rows.append(StudyRow(c, est, diff, None))
+            rows.append(StudyRow(c, bnd, est, diff, None))
             prev = est
         return rows
     if method != "mc":
@@ -444,13 +511,13 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
     mean, se = _skeleton_mc(partition, boundaries, n_paths, seed, workers)
     nb = len(boundaries)
     rows = []
-    for i, c in enumerate(counts):
+    for i, (c, bnd) in enumerate(zip(counts, boundaries)):
         est = Estimate(value=min(1.0, max(0.0, float(mean[i]))),
                        error=float(se[i]), method="montecarlo",
                        n_samples=n_paths, seed=seed)
         if i == 0:
-            rows.append(StudyRow(c, est))
+            rows.append(StudyRow(c, bnd, est))
         else:
-            rows.append(StudyRow(c, est, float(mean[nb + i - 1]),
+            rows.append(StudyRow(c, bnd, est, float(mean[nb + i - 1]),
                                  float(se[nb + i - 1])))
     return rows

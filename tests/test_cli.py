@@ -8,6 +8,7 @@ import pytest
 
 from slepian_bcp import (ProcessParams, affine_boundary, approximate,
                          dump_boundary)
+from slepian_bcp import cli
 from slepian_bcp.cli import main
 
 
@@ -138,6 +139,30 @@ def test_converge_emits_monotone_records(capsys):
     values = [r["value"] for r in recs]
     assert values[0] < values[1] < values[2]
     assert recs[1]["diff_se"] < recs[1]["error"]
+
+
+@pytest.mark.parametrize("method, flags", [("mc", ("--n-paths", "2000")),
+                                           ("quad", ("--tol", "1e-6"))])
+def test_converge_evaluates_the_target_once_per_knot(capsys, monkeypatch,
+                                                    method, flags):
+    # the records read each approximant from the study's rows, so an
+    # n-piece interpolant costs n + 1 evaluations of the expression
+    calls = []
+
+    def tick(t):
+        calls.append(t)
+        return t * t
+
+    monkeypatch.setitem(cli._EXPR_NAMES, "tick", tick)
+    code, out, _ = run_cli(
+        capsys, "converge", "--q", "1", "--d", "2", "--expr", "tick(t)",
+        "--pieces", "2,4,8", "--method", method, *flags)
+    assert code == 0
+    assert len(calls) == 3 + 5 + 9
+    recs = [json.loads(line) for line in out.strip().split("\n")]
+    want = [approximate(lambda t: t * t, ProcessParams(1.0, 2.0), n)
+            for n in (2, 4, 8)]
+    assert [r["partition"] for r in recs] == [list(b.knots) for b in want]
 
 
 def test_converge_partition_auto_uses_boundary_knots(capsys):

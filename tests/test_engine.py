@@ -252,26 +252,73 @@ def _dense_noncross(partition, boundary, n_nodes):
     return float(math.exp(mx) * np.sum(np.exp(log_m - mx)))
 
 
+def _kernel_case(case):
+    if case == "skewed":
+        bnd = constant_boundary(PARAMS, 1.0)
+        return bnd, Partition(PARAMS, (1.0, 1.01, 1.5, 2.0))
+    if case == "four_pieces":
+        bnd = approximate(lambda t: t * t / 2.0, PARAMS, 4)
+        return bnd, Partition.from_boundary(bnd)
+    params = ProcessParams(1.0, 1.01)
+    return constant_boundary(params, 0.5), Partition.equidistant(params, 3)
+
+
 class TestContractionKernel:
-    @pytest.mark.parametrize("case", ["skewed", "four_pieces", "short"])
-    def test_matches_dense_log_sum_exp(self, case):
-        if case == "skewed":
-            bnd = constant_boundary(PARAMS, 1.0)
-            part = Partition(PARAMS, (1.0, 1.01, 1.5, 2.0))
-        elif case == "four_pieces":
-            bnd = approximate(lambda t: t * t / 2.0, PARAMS, 4)
-            part = Partition.from_boundary(bnd)
-        else:
-            params = ProcessParams(1.0, 1.01)
-            bnd = constant_boundary(params, 0.5)
-            part = Partition.equidistant(params, 3)
+    @staticmethod
+    def _check_against_dense(case, n_nodes, latent):
+        bnd, part = _kernel_case(case)
         assert part.n >= 3
         limits = [bnd.evaluate(t) for t in part.times]
+        dcap = 2.0 - (part.params.d - part.params.q) / part.params.q
+        grid = engine._latent_grid(limits, dcap, part.n, n_nodes)
+        assert (grid is not None) == latent
         got = engine._noncross_tensor_gl(
             part.params, part.times, limits,
-            engine._local_pieces(bnd, part), 24)
-        want = _dense_noncross(part, bnd, 24)
+            engine._local_pieces(bnd, part), n_nodes)
+        want = _dense_noncross(part, bnd, n_nodes)
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("case", ["skewed", "four_pieces", "short"])
+    def test_matches_dense_log_sum_exp(self, case):
+        self._check_against_dense(case, 24, latent=False)
+
+    @pytest.mark.parametrize("case", ["skewed", "four_pieces", "short"])
+    def test_latent_rows_match_dense_log_sum_exp(self, case):
+        self._check_against_dense(case, 144, latent=True)
+
+    def test_single_interval_always_takes_x0_rows(self):
+        assert engine._latent_grid([1.0, 1.0], 1.0, 1, 10 ** 6) is None
+
+    def test_latent_rows_form_the_kernel_in_column_panels(self, monkeypatch):
+        # N = 576 spans three panels; every product factor stays N x 256
+        widths = []
+        real = engine.noncross_affine_product
+
+        def spy(q, h, b, a, lo, hi):
+            out = real(q, h, b, a, lo, hi)
+            widths.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(engine, "noncross_affine_product", spy)
+        bnd, part = _kernel_case("skewed")
+        limits = [bnd.evaluate(t) for t in part.times]
+        got = engine._noncross_tensor_gl(part.params, part.times, limits,
+                                         engine._local_pieces(bnd, part), 576)
+        assert widths == [(576, 256), (576, 256), (576, 64)] * part.n
+        ref = bcp_quadrature(bnd, tol=1e-12).value
+        assert abs((1.0 - got) - ref) <= 1e-13
+
+    def test_skewed_partition_converges_to_the_minimal_value(self):
+        # the first gap is 1% of a short span: the ladder needs more than
+        # 832 nodes per axis, which latent rows make affordable
+        params = ProcessParams(1.0, 1.02)
+        bnd = constant_boundary(params, 1.0)
+        skewed = bcp_quadrature(bnd, Partition(params,
+                                               (1.0, 1.0002, 1.01, 1.02)),
+                                tol=1e-8)
+        minimal = bcp_quadrature(bnd, tol=1e-8)
+        assert skewed.n_nodes > 832
+        assert abs(skewed.value - minimal.value) <= 1e-12
 
     def test_log_matmul_scales_rows_and_columns(self):
         # entries far below exp's range, one empty row and one empty column
@@ -287,6 +334,9 @@ class TestContractionKernel:
         assert not finite[2].any() and not finite[:, 1].any()
         assert np.all(got[~finite] == -np.inf)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14)
+        # column panels of k, contracted one at a time, give the same matrix
+        panels = engine._log_matmul(p, iter((k[:, :1], k[:, 1:3], k[:, 3:])))
+        np.testing.assert_allclose(panels, got, rtol=1e-15)
 
 
 class TestBcpMontecarlo:

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import slepian_bcp
+from slepian_bcp.numerics import gauss_legendre, gauss_legendre_on
 from slepian_bcp import (NotPositiveDefiniteError,
                          QuadratureNonConvergenceError, cholesky,
                          gaussian_stream, integrate_adaptive)
@@ -76,6 +77,35 @@ class TestIntegrateAdaptive:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             integrate_adaptive(np.exp, 1.0, 1.0)
+
+
+class TestGaussLegendre:
+    def test_matches_leggauss(self):
+        # numpy documents leggauss as tested to degree 100
+        for n in range(1, 101):
+            x, w = gauss_legendre(n)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert np.all(np.abs(x - ref_x)
+                          <= 2 * np.spacing(np.abs(ref_x))), n
+            np.testing.assert_allclose(w, ref_w, rtol=1e-11)
+            assert np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("n", [16, 832, 1664])
+    def test_exact_on_monomials(self, n):
+        # sum w x^k = int_{-1}^{1} x^k dx for every k <= 2n - 1
+        x, w = gauss_legendre(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x ** k - exact) <= 1e-13 * 2.0 / (k + 1), k
+
+    def test_mapped_rule_integrates_on_the_interval(self):
+        x, w = gauss_legendre_on(-1.0, 2.0, 832)
+        exact = (math.exp(6.0) - math.exp(-3.0)) / 3.0
+        assert abs(w @ np.exp(3.0 * x) - exact) <= 4e-15 * exact
+
+    def test_rejects_empty_rule(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)
 
 
 class TestCholesky:
