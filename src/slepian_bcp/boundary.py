@@ -25,6 +25,13 @@ from .errors import DomainError
 from .process import ProcessParams
 
 
+def knot_tol(params: ProcessParams) -> float:
+    """Distance within which two times count as the same knot: the one
+    rule wherever partition times meet boundary knots, which agree only up
+    to rounding when reached two ways."""
+    return 1e-12 * (params.d - params.q)
+
+
 @dataclass(frozen=True)
 class AffinePiece:
     """One affine piece b + a*(t - t_start) on [t_start, t_end]."""
@@ -124,12 +131,8 @@ class PiecewiseAffineBoundary:
             return self.pieces[-1].value_end
         return self.knot_values[i - 1]
 
-    def _piece_index(self, t: float) -> int:
-        starts = [p.t_start for p in self.pieces]
-        return max(0, bisect_right(starts, t) - 1)
-
     def evaluate(self, t):
-        """Boundary value at t; scalar or array, all entries in [q, d].
+        """Boundary value at t (all in [q, d]); a float for scalar t.
 
         Interior knots return the stored knot value, everything else the
         covering piece.
@@ -138,15 +141,6 @@ class PiecewiseAffineBoundary:
         if np.any(arr < self.params.q) or np.any(arr > self.params.d):
             raise DomainError(
                 f"t outside [{self.params.q}, {self.params.d}]")
-        if arr.ndim == 0:
-            tt = float(arr)
-            piece = self.pieces[self._piece_index(tt)]
-            val = float(piece.value(tt))
-            knots = self.knots
-            for i in range(1, len(knots) - 1):
-                if tt == knots[i]:
-                    return self.knot_values[i - 1]
-            return val
         starts = np.array([p.t_start for p in self.pieces])
         idx = np.clip(np.searchsorted(starts, arr, side="right") - 1,
                       0, len(self.pieces) - 1)
@@ -156,7 +150,7 @@ class PiecewiseAffineBoundary:
         knots = self.knots
         for i in range(1, len(knots) - 1):
             out = np.where(arr == knots[i], self.knot_values[i - 1], out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):
         return self.evaluate(t)
@@ -164,14 +158,17 @@ class PiecewiseAffineBoundary:
     def local_affine(self, t_lo: float, t_hi: float) -> tuple[float, float]:
         """(intercept at t_lo, slope) of the single piece covering [t_lo, t_hi].
 
-        Raises DomainError if the interval straddles a knot.
+        Raises DomainError if the interval straddles a knot (`knot_tol`).
         """
         if not t_lo < t_hi:
             raise DomainError("need t_lo < t_hi")
+        starts = [p.t_start for p in self.pieces]
         # the midpoint, not t_lo: a t_lo that rounds just below a knot
         # still belongs to the piece that starts there
-        piece = self.pieces[self._piece_index(0.5 * (t_lo + t_hi))]
-        if t_lo < piece.t_start - 1e-12 or t_hi > piece.t_end + 1e-12:
+        mid = 0.5 * (t_lo + t_hi)
+        piece = self.pieces[max(0, bisect_right(starts, mid) - 1)]
+        tol = knot_tol(self.params)
+        if piece.t_start - t_lo > tol or t_hi - piece.t_end > tol:
             raise DomainError(
                 f"[{t_lo}, {t_hi}] is not covered by a single boundary piece")
         return float(piece.value(t_lo)), piece.slope

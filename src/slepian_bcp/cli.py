@@ -27,9 +27,8 @@ import time
 from . import boundary as boundary_mod
 from .boundary import (PiecewiseAffineBoundary, affine_boundary,
                        constant_boundary, load_boundary)
-from .bridge import (BridgeSpec, hitting_density_double,
-                     hitting_density_single, noncross_affine,
-                     noncross_constant)
+from .bridge import (BridgeSpec, _check_affine_pins, hitting_density_double,
+                     hitting_density_single, noncross_affine_product)
 from .engine import (Partition, _union_partition, bcp_montecarlo,
                      bcp_quadrature, convergence_study)
 from .errors import (DomainError, NotPositiveDefiniteError,
@@ -190,19 +189,14 @@ def _cmd_bridge(args) -> list[dict]:
     start = time.perf_counter()
     if args.method == "mc":
         est = empirical_bridge_noncross(
-            spec, args.intercept, args.slope,
-            n_paths=args.n_paths if args.n_paths is not None else 100_000,
+            spec, args.intercept, args.slope, n_paths=args.n_paths,
             grid_step=args.grid_step, seed=args.seed)
         value, error, method, seed = est.value, est.error, est.method, est.seed
     else:
-        if args.slope == 0.0:
-            value = noncross_constant(spec, args.intercept)
-            error = 0.0
-        else:
-            tol = args.tol if args.tol is not None else 1e-10
-            value = noncross_affine(spec, args.intercept, args.slope, tol=tol)
-            error = tol
-        method, seed = "quadrature", None
+        _check_affine_pins(spec, args.intercept, args.slope)
+        value = noncross_affine_product(params.q, spec.h, args.intercept,
+                                        args.slope, args.x_start, args.x_end)
+        error, method, seed = 0.0, "quadrature", None
     elapsed = time.perf_counter() - start
     rec = _base_record(params, [args.t_start, args.t_end], digest, seed,
                        method)
@@ -284,9 +278,6 @@ def _cmd_converge(args) -> list[dict]:
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="output file; default stdout")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker bound for Monte-Carlo blocks (default 1)")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_boundary_flags(sub):
@@ -314,6 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--method", choices=("quad", "mc"), default="quad")
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--n-paths", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="worker bound for Monte-Carlo blocks (default 1)")
     _add_common(sub)
     sub.set_defaults(func=_cmd_compute)
 
@@ -325,6 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-paths", type=int, default=100_000)
     sub.add_argument("--dump-paths", default=None,
                      help="also write simulated paths to this file")
+    sub.add_argument("--seed", type=int, default=0)
     _add_common(sub)
     sub.set_defaults(func=_cmd_oracle)
 
@@ -339,9 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="boundary value at t-start")
     sub.add_argument("--slope", type=float, default=0.0)
     sub.add_argument("--method", choices=("quad", "mc"), default="quad")
-    sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--n-paths", type=int, default=None)
+    sub.add_argument("--n-paths", type=int, default=100_000)
     sub.add_argument("--grid-step", type=float, default=1e-3)
+    sub.add_argument("--seed", type=int, default=0)
     _add_common(sub)
     sub.set_defaults(func=_cmd_bridge)
 
@@ -380,6 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--method", choices=("quad", "mc"), default="mc")
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--n-paths", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="worker bound for Monte-Carlo blocks (default 1)")
     _add_common(sub)
     sub.set_defaults(func=_cmd_converge)
     return parser

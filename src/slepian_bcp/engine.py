@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import PiecewiseAffineBoundary, approximate
+from .boundary import PiecewiseAffineBoundary, approximate, knot_tol
 from .bridge import noncross_affine_product
 from .errors import DomainError, QuadratureNonConvergenceError
 from .numerics import cholesky, gauss_legendre_on, gaussian_stream
@@ -100,9 +100,9 @@ class Estimate:
     """A crossing-probability estimate with its error indication.
 
     `error` is, for quadrature, the last successive-level difference plus
-    1e-14 (a heuristic, not a bound); for `bcp_montecarlo`, MC study rows
-    and `empirical_bcp`, the sample standard error; for counting estimators
-    (`crossing="nodes"`, `empirical_bridge_noncross`), the binomial one.
+    1e-14 (a heuristic, not a bound).  Every sampling route
+    (`bcp_montecarlo`, MC study rows and the path oracles) averages a
+    per-path payoff, and its `error` is the sample standard error.
     """
 
     value: float
@@ -130,7 +130,7 @@ def _local_pieces(boundary: PiecewiseAffineBoundary, partition: Partition):
     if boundary.params != partition.params:
         raise DomainError("boundary and partition use different (q, d)")
     times = np.asarray(partition.times)
-    tol = 1e-12 * (partition.params.d - partition.params.q)
+    tol = knot_tol(partition.params)
     for knot in boundary.knots:
         if np.min(np.abs(times - knot)) > tol:
             raise DomainError(
@@ -323,7 +323,7 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
         partition = Partition.from_boundary(boundary)
     n = partition.n
     pieces = _local_pieces(boundary, partition)
-    limits = [boundary.evaluate(t) for t in partition.times]
+    limits = boundary.evaluate(partition.times).tolist()
 
     prev = diff = None
     for level in _QUAD_LEVELS:
@@ -402,8 +402,8 @@ def _skeleton_mc(partition: Partition,
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     params = partition.params
-    per_bnd = [(np.array([b.evaluate(t) for t in partition.times]),
-                _local_pieces(b, partition)) for b in boundaries]
+    per_bnd = [(b.evaluate(partition.times), _local_pieces(b, partition))
+               for b in boundaries]
     m = partition.n + 1
     lower = cholesky(covariance_matrix(params, partition.times))
 
@@ -461,11 +461,11 @@ def _union_partition(params: ProcessParams,
                      time_sets: Sequence[Sequence[float]]) -> Partition:
     """Partition on the union of several time sets.
 
-    Every time of an earlier set is kept; a later time within
-    1e-12 (d - q) of one already kept is dropped, so times that agree only
-    up to rounding enter once, as the earliest set has them.
+    Every time of an earlier set is kept; a later time within `knot_tol`
+    of one already kept is dropped, so times that agree only up to
+    rounding enter once, as the earliest set has them.
     """
-    tol = 1e-12 * (params.d - params.q)
+    tol = knot_tol(params)
     kept: list[float] = []
     for times in time_sets:
         for t in map(float, times):

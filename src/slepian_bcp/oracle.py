@@ -12,7 +12,7 @@ W on that step is its chord plus the difference of two independent
 Brownian bridges, a bridge of variance 2 s (h - s) / (q h) at offset s
 into a step of length h.  A path that stays below an affine boundary at
 both nodes therefore crosses it inside the step with probability
-exp(-q (g_k - w_k)(g_{k+1} - w_{k+1}) / h), and `empirical_bcp` averages
+exp(-q (g_k - w_k)(g_{k+1} - w_{k+1}) / h), and both estimators average
 the resulting per-path crossing probabilities (the Brownian-bridge
 correction for discretely monitored paths; Glasserman, Monte Carlo Methods
 in Financial Engineering, 2003, section 6.4).  Nothing here calls the
@@ -222,50 +222,45 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
                   crossing: str = "bridge") -> Estimate:
     """Path-simulation estimate of the boundary crossing probability.
 
-    crossing="bridge" (default): the mean over paths of each path's exact
-    probability of crossing g in continuous time given its grid values:
+    The mean over paths of a per-path crossing payoff; `error` is the
+    sample standard error of those payoffs.
+
+    crossing="bridge" (default): each path's exact probability of crossing
+    g in continuous time given its grid values:
     1 if it exceeds g at a node, else
     1 - prod_k (1 - exp(-q (g_k - w_k)(g_{k+1} - w_{k+1}) / grid_step)),
     with g taken on each step from the piece covering it (one-sided limits
     at knots; at a knot node the knot value decides the node check).  The
     estimate is unbiased when every boundary knot is a grid node (within
     1e-9*grid_step); a knot strictly inside a step leaves that step checked
-    at its nodes only, with a RuntimeWarning.  `error` is the sample
-    standard error of the per-path probabilities.
+    at its nodes only, with a RuntimeWarning.
 
-    crossing="nodes": the fraction of simulated paths exceeding the boundary
-    at some grid node, with its binomial standard error.  Grid
-    discretization can only miss crossings, so this bias is one-sided
-    (toward underestimating the crossing probability) and decays like
-    sqrt(grid_step).  It is kept as the reference for that decay and for
-    the node-wise part of the bridge estimate, which it bounds from below
-    on the same paths.
+    crossing="nodes": the indicator that a path exceeds the boundary at
+    some grid node.  Grid discretization can only miss crossings, so this
+    bias is one-sided (toward underestimating the crossing probability)
+    and decays like sqrt(grid_step).  It is kept as the reference for that
+    decay and for the node-wise part of the bridge estimate, which it
+    bounds from below on the same paths.
     """
     if boundary.params != cfg.params:
         raise DomainError("boundary and simulation use different (q, d)")
     if crossing not in ("bridge", "nodes"):
         raise DomainError(
             f"crossing must be 'bridge' or 'nodes', got {crossing!r}")
-    n = cfg.n_paths
+    params = cfg.params
+    times = _grids(params, params.q, params.d, cfg.grid_step)[0]
     if crossing == "nodes":
-        count = 0
-        g = None
-        for times, w in simulate_paths(cfg):
-            if g is None:
-                g = np.asarray(boundary.evaluate(times))
-            count += int(np.any(w > g[None, :], axis=1).sum())
-        p = count / n
-        se = math.sqrt(p * (1.0 - p) / n)
+        g = boundary.evaluate(times)
+        payoffs = (np.any(w > g, axis=1).astype(float)
+                   for _, w in simulate_paths(cfg))
     else:
-        params = cfg.params
         scale = params.q / cfg.grid_step
-        times = _grids(params, params.q, params.d, cfg.grid_step)[0]
         limits = _step_limits(boundary, times, cfg.grid_step)
-        mean, sem = _moments(_bridge_crossing(w, *limits, scale)[:, None]
-                             for _, w in simulate_paths(cfg))
-        p, se = float(mean[0]), float(sem[0])
-    return Estimate(value=p, error=se, method="montecarlo",
-                    n_samples=n, seed=cfg.seed)
+        payoffs = (_bridge_crossing(w, *limits, scale)
+                   for _, w in simulate_paths(cfg))
+    mean, sem = _moments(z[:, None] for z in payoffs)
+    return Estimate(value=float(mean[0]), error=float(sem[0]),
+                    method="montecarlo", n_samples=cfg.n_paths, seed=cfg.seed)
 
 
 def empirical_covariance(cfg: SimConfig, n_lags: int = 20):
@@ -291,9 +286,11 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     Pins the simulated paths to (x_i, x_i1) by the exact conditional
     Gaussian correction: an unconditional path W gets
     W + Cov(W, pins) Cov(pins)^{-1} (pins - W_pins), which is cheap (rank
-    two) and has the exact conditional law.  A pin on or above the boundary
-    is a certain crossing, so the estimate is 0 without simulation.
-    `error` is the binomial standard error of the non-crossing fraction.
+    two) and has the exact conditional law.  The correction is affine in t
+    and the pins are grid nodes, so the estimate is one minus the mean of
+    `empirical_bcp`'s per-path crossing probabilities, and `error` is their
+    sample standard error.  A pin on or above the boundary is a certain
+    crossing, so the estimate is 0 without simulation.
     """
     h = spec.h
     if spec.x_i >= b or spec.x_i1 >= b + a * h:
@@ -317,16 +314,18 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
             "and grid are inconsistent")
     gain = sigma[:, pin_idx] @ np.linalg.inv(s_pp)
     pins = np.array([spec.x_i, spec.x_i1])
-    bound = b + a * (times - spec.t_i)
+    # one affine piece, so no step needs one-sided limits
+    limits = (b + a * (times - spec.t_i), np.empty(0, dtype=int),
+              np.empty(0), np.empty(0))
 
-    count = 0
-    for _, w in _window_paths(params, grid, n_paths, seed):
+    def payoff(w):
         w += (pins[None, :] - w[:, pin_idx]) @ gain.T
-        count += int(np.all(w[:, 1:-1] <= bound[None, 1:-1], axis=1).sum())
-    p = count / n_paths
-    se = math.sqrt(p * (1.0 - p) / n_paths)
-    return Estimate(value=p, error=se, method="montecarlo",
-                    n_samples=n_paths, seed=seed)
+        return _bridge_crossing(w, *limits, params.q / grid_step)[:, None]
+
+    mean, sem = _moments(payoff(w) for _, w in _window_paths(
+        params, grid, n_paths, seed))
+    return Estimate(value=1.0 - float(mean[0]), error=float(sem[0]),
+                    method="montecarlo", n_samples=n_paths, seed=seed)
 
 
 def dump_paths(cfg: SimConfig, fp: IO[str] | str,

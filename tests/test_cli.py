@@ -7,7 +7,7 @@ import json
 import pytest
 
 from slepian_bcp import (ProcessParams, affine_boundary, approximate,
-                         dump_boundary)
+                         dump_boundary, noncross_affine_product)
 from slepian_bcp import cli
 from slepian_bcp.cli import main
 
@@ -54,10 +54,10 @@ def test_boundary_source_required(capsys):
 
 
 def test_nonconvergence_exit_code(capsys):
+    # a horizon this short exhausts the quadrature ladder
     code, _, err = run_cli(
-        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
-        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.1",
-        "--intercept", "1", "--slope", "-0.5", "--tol", "1e-300")
+        capsys, "compute", "--q", "1", "--d", "1.000001",
+        "--const-boundary", "1", "--method", "quad")
     assert code == 3
 
 
@@ -69,6 +69,59 @@ def test_bridge_quadrature_value(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["value"] == pytest.approx(0.46473857148, abs=1e-6)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.7, -0.5])
+def test_bridge_quadrature_is_the_exact_product(capsys, slope):
+    code, out, _ = run_cli(
+        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
+        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.1",
+        "--intercept", "1", "--slope", str(slope))
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["value"] == noncross_affine_product(1.0, 0.8, 1.0, slope,
+                                                   0.0, 0.1)
+    assert rec["error"] == 0.0
+
+
+def test_bridge_rejects_pin_above_boundary(capsys):
+    code, _, err = run_cli(
+        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
+        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.8",
+        "--intercept", "1", "--slope", "-0.5")
+    assert code == 2
+    assert "strictly below" in err
+
+
+def test_bridge_mc_record(capsys):
+    code, out, _ = run_cli(
+        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
+        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.1",
+        "--intercept", "1", "--slope", "-0.5", "--method", "mc",
+        "--n-paths", "2000", "--grid-step", "0.01", "--seed", "4")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["method"] == "montecarlo" and rec["seed"] == 4
+    assert abs(rec["value"] - 0.46473857148) <= 4.0 * rec["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "--kind", "pair", "--times", "1,2", "--values", "0,0",
+     "--seed", "99"),
+    ("density", "--kind", "pair", "--times", "1,2", "--values", "0,0",
+     "--workers", "7"),
+    ("oracle", "--const-boundary", "1", "--workers", "3"),
+    ("bridge", "--t-start", "1.0", "--t-end", "1.8", "--x-start", "0",
+     "--x-end", "0.1", "--intercept", "1", "--workers", "3"),
+    ("bridge", "--t-start", "1.0", "--t-end", "1.8", "--x-start", "0",
+     "--x-end", "0.1", "--intercept", "1", "--tol", "1e-8"),
+], ids=["density-seed", "density-workers", "oracle-workers",
+        "bridge-workers", "bridge-tol"])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--q", "1", "--d", "2", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_density_pair_value(capsys):

@@ -202,6 +202,19 @@ class TestBcpQuadrature:
         with pytest.raises(DomainError):
             bcp_quadrature(TWO_PIECE, part)
 
+    def test_partition_time_within_knot_tol_of_a_knot(self):
+        # 1e-10 is within 1e-12 (d - q) of the knot at 1500, so the
+        # partition holds that knot for every check that matches times
+        params = ProcessParams(1000.0, 2000.0)
+        bnd = PiecewiseAffineBoundary(params, (
+            AffinePiece(1000.0, 1500.0, 1.0, 2e-4),
+            AffinePiece(1500.0, 2000.0, 1.1, -4e-4)))
+        exact = bcp_quadrature(bnd, tol=1e-8)
+        near = bcp_quadrature(
+            bnd, Partition(params, (1000.0, 1500.0 + 1e-10, 2000.0)),
+            tol=1e-8)
+        assert near.value == pytest.approx(exact.value, abs=1e-14)
+
     def test_finer_partition_with_knots_included(self):
         base = bcp_quadrature(TWO_PIECE, tol=1e-7)
         finer = bcp_quadrature(TWO_PIECE, Partition.equidistant(PARAMS, 4),

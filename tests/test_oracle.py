@@ -12,7 +12,8 @@ from slepian_bcp import (AffinePiece, BridgeSpec, DomainError,
                          affine_boundary, bcp_quadrature, constant_boundary,
                          dump_paths, empirical_bcp, empirical_bridge_noncross,
                          empirical_covariance, gaussian_stream,
-                         noncross_constant, simulate_paths)
+                         noncross_affine_product, noncross_constant,
+                         simulate_paths)
 
 PARAMS = ProcessParams(1.0, 2.0)
 
@@ -161,10 +162,13 @@ class TestBridgeCorrection:
         count = 0
         for times, w in simulate_paths(cfg):
             count += int(np.any(w > bnd.evaluate(times), axis=1).sum())
-        p = count / cfg.n_paths
+        n = cfg.n_paths
+        p = count / n
         est = empirical_bcp(cfg, bnd, crossing="nodes")
         assert est.value == p
-        assert est.error == math.sqrt(p * (1.0 - p) / cfg.n_paths)
+        # the sample standard error of the 0/1 payoffs
+        assert est.error == pytest.approx(
+            math.sqrt(p * (1.0 - p) / (n - 1)), rel=1e-12)
 
     def test_nodes_deficit_decays_like_sqrt_step(self):
         # the node-wise check misses crossings between nodes; its deficit
@@ -262,8 +266,23 @@ class TestEmpiricalBridgeNoncross:
         analytic = noncross_constant(spec, b)
         est = empirical_bridge_noncross(spec, b, 0.0, n_paths=40_000,
                                         grid_step=step, seed=11)
-        assert est.value >= analytic - 3.0 * est.error
-        assert est.value <= analytic + 2.0 * math.sqrt(step) + 3.0 * est.error
+        assert abs(est.value - analytic) <= 3.0 * est.error
+
+    @pytest.mark.parametrize("t_i, t_i1, x_i, x_i1, b, a, step", [
+        (1.0, 1.5, 0.0, 0.0, 1.0, 0.0, 0.01),
+        (1.2, 1.7, 0.3, 0.5, 0.9, 0.6, 0.01),
+        (1.0, 1.8, 0.0, 0.1, 1.0, -0.5, 0.02),
+        (1.3, 1.35, 0.5, 0.4, 0.8, -1.0, 0.005),
+    ], ids=["constant", "rising", "falling", "short"])
+    def test_matches_exact_product_at_coarse_step(self, t_i, t_i1, x_i, x_i1,
+                                                  b, a, step):
+        # the crossings between nodes are accounted for exactly, so even a
+        # coarse grid has no bias left for a two-sided bound to see
+        spec = BridgeSpec(PARAMS, t_i, t_i1, x_i, x_i1)
+        exact = noncross_affine_product(PARAMS.q, spec.h, b, a, x_i, x_i1)
+        est = empirical_bridge_noncross(spec, b, a, n_paths=20_000,
+                                        grid_step=step, seed=23)
+        assert abs(est.value - exact) <= 4.0 * est.error
 
     def test_pins_on_boundary_give_zero(self):
         spec = BridgeSpec(PARAMS, 1.0, 1.5, 1.0, 0.0)
