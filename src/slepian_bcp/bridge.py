@@ -192,15 +192,21 @@ def noncross_affine_product(q, h, b, a, x_i, x_i1):
 
         1 - exp(-q (b - x_i)(b + a h - x_i1) / h).
 
-    Vectorized over the pins (scalars or arrays).  Pins at or above the
-    boundary clamp to a zero factor, giving probability 0, consistent with
-    the limiting behaviour of the integral route; equality of the two
-    routes on admissible inputs is asserted in the test suite.
+    Vectorized over the pins (scalars or arrays, broadcast together).  Pins
+    at or above the boundary clamp to a zero factor, giving probability 0,
+    consistent with the limiting behaviour of the integral route; equality
+    of the two routes on admissible inputs is asserted in the test suite.
+    The factor is built in one output array of the broadcast shape.
     """
     x_i = np.asarray(x_i, dtype=float)
     x_i1 = np.asarray(x_i1, dtype=float)
-    z = (q / h) * np.maximum(b - x_i, 0.0) * np.maximum(b + a * h - x_i1, 0.0)
-    out = -np.expm1(-z)
+    out = np.empty(np.broadcast_shapes(x_i.shape, x_i1.shape))
+    left = np.maximum(b - x_i, 0.0)
+    left *= q / h
+    np.multiply(left, np.maximum(b + a * h - x_i1, 0.0), out=out)
+    np.negative(out, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -196,7 +196,7 @@ def _cmd_bridge(args) -> list[dict]:
         _check_affine_pins(spec, args.intercept, args.slope)
         value = noncross_affine_product(params.q, spec.h, args.intercept,
                                         args.slope, args.x_start, args.x_end)
-        error, method, seed = 0.0, "quadrature", None
+        error, method, seed = 0.0, "analytic", None
     elapsed = time.perf_counter() - start
     rec = _base_record(params, [args.t_start, args.t_end], digest, seed,
                        method)

@@ -26,10 +26,10 @@ Two evaluators:
   a Gaussian mixture, whichever is cheaper, so a level costs
   O(n min(M, N) N^2) flops, O(n N^2) exp calls and O(min(M, N) N) memory
   for any partition size n.
-* `bcp_montecarlo` - draws the skeleton vector X ~ N(0, Sigma) and averages
-  one minus the product of indicators and bridge factors; unbiased for
-  every n, with seed-derived block streams so results do not depend on
-  worker count.
+* `bcp_montecarlo` - draws the skeleton vector X ~ N(0, Sigma) in
+  antithetic pairs (X, -X) and averages one minus the product of
+  indicators and bridge factors; unbiased for every n, with seed-derived
+  block streams so results do not depend on worker count.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _UPPER_CAP = 8.5
 _Z_STEP = 0.45          # latent grid spacing; see _noncross_tensor_gl
 _Z_PAD = 7.0            # latent range pad beyond the extreme centres, in sqrt(D)
 _PANEL = 256            # columns per right-factor panel on latent rows
-_MC_BLOCK = 131_072     # skeleton samples per seed-indexed block
+_MC_BLOCK = 16_384      # paths per seed-indexed block
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,10 @@ class Estimate:
     `error` is, for quadrature, the last successive-level difference plus
     1e-14 (a heuristic, not a bound).  Every sampling route
     (`bcp_montecarlo`, MC study rows and the path oracles) averages a
-    per-path payoff, and its `error` is the sample standard error.
+    per-path payoff, and its `error` is the sample standard error.  For
+    conditioned MC the samples are antithetic pair means (and an odd
+    path's own payoff), so `error` runs over pairs while `n_samples`
+    counts paths.
     """
 
     value: float
@@ -380,12 +383,17 @@ def _moments(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
-def _payoffs(x: np.ndarray, q: float, limits: np.ndarray, pieces) -> np.ndarray:
-    """Crossing payoff per sample row: 1 - the product of boundary
-    indicators and bridge non-crossing factors."""
-    z = np.all(x <= limits[None, :], axis=1).astype(float)
+def _payoffs(xt: np.ndarray, q: float, limits: np.ndarray,
+             pieces) -> np.ndarray:
+    """Crossing payoff per path: 1 - the product of boundary indicators
+    and bridge non-crossing factors.
+
+    `xt` is path-major, one row per partition time and one column per
+    path, so every knot's values are one contiguous row.
+    """
+    z = np.all(xt <= limits[:, None], axis=0).astype(float)
     for i, (h, b, a) in enumerate(pieces):
-        z *= noncross_affine_product(q, h, b, a, x[:, i], x[:, i + 1])
+        z *= noncross_affine_product(q, h, b, a, xt[i], xt[i + 1])
     return 1.0 - z
 
 
@@ -398,6 +406,15 @@ def _skeleton_mc(partition: Partition,
     payoff_{i+1} - payoff_i (= value_{i+1} - value_i per sample).  Crossing
     payoffs are mostly zero for a high boundary, so the one-pass variance
     does not cancel as it would on non-crossing payoffs near 1.
+
+    Paths come in antithetic pairs (X, -X): a block of k paths draws
+    ceil(k/2) skeletons from stream (seed, j), and each pair enters
+    `_moments` as one sample, the mean of its two payoffs.  The payoff is
+    monotone in X, so a pair mean has at most half the variance of one
+    path's payoff (Glasserman 2003, section 4.2), and the standard error
+    is taken over independent pairs.  An odd block's last skeleton has no
+    partner and enters as a sample of its own; its payoff has the same
+    mean, so the estimate stays unbiased.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
@@ -409,10 +426,16 @@ def _skeleton_mc(partition: Partition,
 
     def run_block(block):
         j, k = block
-        eps = gaussian_stream(seed, j).normals(k * m).reshape(k, m)
-        x = eps @ lower.T
-        zs = [_payoffs(x, params.q, limits, pieces)
-              for limits, pieces in per_bnd]
+        half = k // 2
+        eps = gaussian_stream(seed, j).normals((k - half) * m).reshape(-1, m)
+        xt = lower @ eps.T
+        anti = -xt[:, :half]
+        zs = []
+        for limits, pieces in per_bnd:
+            z = _payoffs(xt, params.q, limits, pieces)
+            z[:half] += _payoffs(anti, params.q, limits, pieces)
+            z[:half] *= 0.5
+            zs.append(z)
         # each column's samples are contiguous, so its sums are the
         # pairwise sums of that 1-D payoff vector
         return np.stack(zs + [b - a for a, b in zip(zs, zs[1:])]).T
@@ -434,8 +457,13 @@ def bcp_montecarlo(boundary: PiecewiseAffineBoundary,
 
     its expectation is exactly the crossing probability, so the estimate is
     unbiased for every partition.
-    Sample blocks draw from seed-derived streams indexed by block number,
-    so a fixed seed gives identical results for any worker count.
+    Paths come in antithetic pairs (X, -X), and `error` is the sample
+    standard error of the pair means; with an odd `n_paths` the last path
+    has no partner and counts as a sample of its own, which keeps the
+    estimate unbiased (see `_skeleton_mc`).  `n_samples` counts paths.
+    Blocks of `_MC_BLOCK` paths draw from seed-derived streams indexed by
+    block number, so a fixed seed gives identical results for any worker
+    count.
     """
     if partition is None:
         partition = Partition.from_boundary(boundary)
@@ -486,8 +514,10 @@ def convergence_study(f: Callable[[float], float], params: ProcessParams,
     draws over the union of their knots (partition invariance makes each
     estimate unbiased for its own boundary), so successive differences have
     far smaller variance than the individual estimates and the reported
-    diff_se makes the convergence of the sequence testable; `workers`
-    threads share the blocks without changing the result.  With
+    diff_se makes the convergence of the sequence testable.  Estimates and
+    differences are means over the same antithetic pairs as in
+    `bcp_montecarlo`; `workers` threads share the blocks without changing
+    the result.  With
     method="quad" the estimates are independent deterministic values.
     """
     counts = list(piece_counts)

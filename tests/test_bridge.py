@@ -146,6 +146,24 @@ class TestNoncrossAffine:
             assert vals[j] == pytest.approx(noncross_affine(spec, 1.0, 0.2),
                                             abs=1e-9)
 
+    def test_product_form_equals_the_one_expression_form_bitwise(self):
+        # the factor is built in one output array; every value must equal
+        # the expression it replaced, for 1-D pins, broadcast quadrature
+        # grids, pins above the boundary and scalars
+        rng = np.random.default_rng(41)
+        q, h, b, a = 0.9, 0.37, 0.8, -1.3
+        lo, hi = rng.normal(size=(64, 1)), rng.normal(size=(1, 48))
+        x_i, x_i1 = rng.normal(size=500), rng.normal(size=500)
+        for u, v in ((x_i, x_i1), (lo, hi), (lo, hi[:, :5]), (0.1, -0.4),
+                     (2.0, 0.0)):
+            old = -np.expm1(-((q / h) * np.maximum(b - np.asarray(u), 0.0)
+                              * np.maximum(b + a * h - np.asarray(v), 0.0)))
+            new = noncross_affine_product(q, h, b, a, u, v)
+            assert np.shape(new) == np.shape(old)
+            assert np.array_equal(new, old)
+        assert isinstance(noncross_affine_product(q, h, b, a, 0.1, -0.4),
+                          float)
+
     def test_matches_conditioned_path_simulation(self):
         # the path estimate accounts for crossings between grid nodes, so
         # it is unbiased and the bound is two-sided

@@ -84,6 +84,19 @@ def test_bridge_quadrature_is_the_exact_product(capsys, slope):
     assert rec["error"] == 0.0
 
 
+def test_bridge_closed_form_is_labelled_analytic(capsys):
+    # no quadrature runs on the exact route, so the record says so, as
+    # density records do
+    code, out, _ = run_cli(
+        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
+        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.1",
+        "--intercept", "1", "--slope", "-0.5", "--method", "quad")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["method"] == "analytic"
+    assert rec["seed"] is None
+
+
 def test_bridge_rejects_pin_above_boundary(capsys):
     code, _, err = run_cli(
         capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",

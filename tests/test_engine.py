@@ -394,14 +394,92 @@ class TestBcpMontecarlo:
         est = bcp_montecarlo(constant_boundary(PARAMS, g), n_paths=n_paths,
                              seed=seed)
         lower = cholesky(covariance_matrix(PARAMS, (1.0, 2.0)))
-        x = gaussian_stream(seed, 0).normals(2 * n_paths).reshape(
-            n_paths, 2) @ lower.T
-        payoff = 1.0 - np.all(x <= g, axis=1) * noncross_affine_product(
-            1.0, 1.0, g, 0.0, x[:, 0], x[:, 1])
-        two_pass = np.std(payoff, ddof=1) / math.sqrt(n_paths)
+
+        def payoff(x):
+            return 1.0 - np.all(x <= g, axis=1) * noncross_affine_product(
+                1.0, 1.0, g, 0.0, x[:, 0], x[:, 1])
+
+        # block j of k paths: k/2 skeletons from stream j, each entering
+        # as the mean of its payoff at x and at -x
+        pair_means = []
+        for j, start in enumerate(range(0, n_paths, engine._MC_BLOCK)):
+            k = min(engine._MC_BLOCK, n_paths - start)
+            assert k % 2 == 0
+            x = gaussian_stream(seed, j).normals(k).reshape(k // 2, 2) \
+                @ lower.T
+            pair_means.append(0.5 * (payoff(x) + payoff(-x)))
+        pair_means = np.concatenate(pair_means)
+        assert len(pair_means) == n_paths // 2
+        two_pass = np.std(pair_means, ddof=1) / math.sqrt(len(pair_means))
         assert 0.0 < est.value < 1e-9
         assert est.error > 0.0
         assert est.error == pytest.approx(two_pass, rel=1e-6)
+
+    def test_path_major_payoffs_equal_the_row_wise_formula(self):
+        # a jump at t = 1.5 (0.7 -> 0.9) and a finer partition than the
+        # knots; the payoff reads knot rows of x.T instead of columns of x
+        bnd = PiecewiseAffineBoundary(PARAMS, (
+            AffinePiece(1.0, 1.5, 1.0, -0.6), AffinePiece(1.5, 2.0, 0.9, 0.4)))
+        part = engine._union_partition(
+            PARAMS, [bnd.knots, Partition.equidistant(PARAMS, 4).times])
+        limits = bnd.evaluate(part.times)
+        pieces = engine._local_pieces(bnd, part)
+        x = np.random.default_rng(43).normal(size=(4000, part.n + 1))
+        x[::7, 2] = limits[2]                   # paths on the jump knot
+        z = np.all(x <= limits[None, :], axis=1).astype(float)
+        for i, (h, b, a) in enumerate(pieces):
+            z *= noncross_affine_product(PARAMS.q, h, b, a, x[:, i],
+                                         x[:, i + 1])
+        row_wise = 1.0 - z
+        assert 0.0 < row_wise.min() and row_wise.max() == 1.0
+        assert np.array_equal(
+            engine._payoffs(x.T, PARAMS.q, limits, pieces), row_wise)
+
+    @pytest.mark.parametrize("n_paths", [1, 3, engine._MC_BLOCK + 1])
+    def test_odd_path_counts(self, n_paths):
+        # the last block's odd path has no antithetic partner and enters
+        # as a sample of its own
+        one, two = (bcp_montecarlo(TWO_PIECE, n_paths=n_paths, seed=16,
+                                   workers=w) for w in (1, 2))
+        assert one == two
+        assert 0.0 <= one.value <= 1.0
+        assert math.isfinite(one.error)
+        assert one.n_samples == n_paths
+        if n_paths > engine._MC_BLOCK:
+            return
+        # one block: (n_paths + 1) // 2 skeletons, the last one unpaired
+        part = Partition.from_boundary(TWO_PIECE)
+        limits = TWO_PIECE.evaluate(part.times)
+        pieces = engine._local_pieces(TWO_PIECE, part)
+        lower = cholesky(covariance_matrix(PARAMS, part.times))
+        rows, m = (n_paths + 1) // 2, part.n + 1
+        xt = lower @ gaussian_stream(16, 0).normals(rows * m).reshape(
+            rows, m).T
+        plus = engine._payoffs(xt, PARAMS.q, limits, pieces)
+        minus = engine._payoffs(-xt, PARAMS.q, limits, pieces)
+        pairs = n_paths // 2
+        samples = np.append(0.5 * (plus + minus)[:pairs], plus[pairs:])
+        assert len(samples) == pairs + 1
+        assert one.value == pytest.approx(samples.mean(), abs=1e-15)
+        if len(samples) > 1:
+            assert one.error == pytest.approx(
+                np.std(samples, ddof=1) / math.sqrt(len(samples)), rel=1e-9)
+
+    def test_antithetic_pairs_halve_the_variance(self):
+        # the payoff is monotone in the skeleton, so the pair payoffs are
+        # negatively correlated: var(pair mean) = (var + cov) / 2
+        bnd = approximate(lambda t: t * t, PARAMS, 4)
+        part = Partition.from_boundary(bnd)
+        limits = bnd.evaluate(part.times)
+        pieces = engine._local_pieces(bnd, part)
+        lower = cholesky(covariance_matrix(PARAMS, part.times))
+        m, half = part.n + 1, engine._MC_BLOCK // 2
+        xt = lower @ gaussian_stream(17, 0).normals(half * m).reshape(
+            half, m).T
+        plus = engine._payoffs(xt, PARAMS.q, limits, pieces)
+        minus = engine._payoffs(-xt, PARAMS.q, limits, pieces)
+        single = np.var(np.concatenate([plus, minus]), ddof=1)
+        assert np.var(0.5 * (plus + minus), ddof=1) <= 0.5 * single
 
     def test_paired_seed_monotonicity_is_exact(self):
         g1 = constant_boundary(PARAMS, 0.8)
@@ -456,6 +534,22 @@ class TestConvergenceStudy:
             assert a.estimate.error == b.estimate.error
             assert a.diff_prev == b.diff_prev
             assert a.diff_se == b.diff_se
+
+    def test_a_131072_path_study_runs_its_blocks_in_one_pool(
+            self, monkeypatch):
+        pools = []
+
+        class RecordingPool(engine.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        rows = convergence_study(lambda t: t * t, PARAMS, [2, 4],
+                                 method="mc", n_paths=131_072, seed=18,
+                                 workers=2)
+        assert len(pools) == 1
+        assert all(r.estimate.n_samples == 131_072 for r in rows)
 
     def test_knots_equal_up_to_rounding(self):
         # np.linspace puts the knots at 1/3 and 2/3 of the span one ulp
