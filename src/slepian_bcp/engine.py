@@ -35,6 +35,7 @@ Two evaluators:
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -423,13 +424,24 @@ def _skeleton_mc(partition: Partition,
                for b in boundaries]
     m = partition.n + 1
     lower = cholesky(covariance_matrix(params, partition.times))
+    # Each thread reuses one set of block buffers for every block it runs,
+    # so the block loop allocates only row-sized temporaries: fresh
+    # megabyte arrays per block go back to the OS when freed and are
+    # faulted in again by the next block.
+    scratch = threading.local()
+    size = (min(n_paths, _MC_BLOCK) + 1) // 2 * m
 
     def run_block(block):
         j, k = block
         half = k // 2
-        eps = gaussian_stream(seed, j).normals((k - half) * m).reshape(-1, m)
-        xt = lower @ eps.T
-        anti = -xt[:, :half]
+        cols = k - half
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty((3, size))
+        eps, xt, anti = scratch.buf
+        eps = gaussian_stream(seed, j).normals(cols * m, eps[:cols * m])
+        xt = np.matmul(lower, eps.reshape(cols, m).T,
+                       out=xt[:cols * m].reshape(m, cols))
+        anti = np.negative(xt[:, :half], out=anti[:half * m].reshape(m, half))
         zs = []
         for limits, pieces in per_bnd:
             z = _payoffs(xt, params.q, limits, pieces)

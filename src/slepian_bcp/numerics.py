@@ -240,9 +240,17 @@ class GaussianStream:
         self._gen = np.random.Generator(
             np.random.Philox(key=seed).jumped(stream_id))
 
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normal variates."""
-        return self._gen.standard_normal(n)
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n standard normal variates, written into `out` if given.
+
+        `out` is a C-contiguous float64 array of n elements; it receives
+        the same variates a fresh array would.
+        """
+        if out is None:
+            return self._gen.standard_normal(n)
+        if out.size != n:
+            raise ValueError(f"out has {out.size} elements, need {n}")
+        return self._gen.standard_normal(out=out)
 
 
 def gaussian_stream(seed: int, stream_id: int = 0) -> GaussianStream:

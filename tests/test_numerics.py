@@ -162,6 +162,18 @@ class TestGaussianStream:
         both = gaussian_stream(9, 2).normals(20)
         np.testing.assert_array_equal(np.concatenate([first, second]), both)
 
+    def test_out_receives_the_same_variates(self):
+        stream = gaussian_stream(9, 2)
+        buf = np.full((2, 12), np.nan)
+        first = stream.normals(10, buf[0, :10])
+        assert np.shares_memory(first, buf)
+        stream.normals(10, buf[1, :10])
+        np.testing.assert_array_equal(
+            buf[:, :10].ravel(), gaussian_stream(9, 2).normals(20))
+        assert np.isnan(buf[:, 10:]).all()
+        with pytest.raises(ValueError):
+            stream.normals(10, buf[0, :9])
+
     def test_sample_mean(self):
         x = gaussian_stream(5, 0).normals(1_000_000)
         assert abs(x.mean()) < 4.0 / math.sqrt(1_000_000)
