@@ -100,8 +100,10 @@ class Partition:
 class Estimate:
     """A crossing-probability estimate with its error indication.
 
-    `error` is, for quadrature, the last successive-level difference plus
-    1e-14 (a heuristic, not a bound).  Every sampling route
+    `method` names the route: "quadrature", "montecarlo" (conditioned MC)
+    or "oracle" (the path-simulation oracles).  `error` is, for
+    quadrature, the last successive-level difference plus 1e-14 (a
+    heuristic, not a bound).  Every sampling route
     (`bcp_montecarlo`, MC study rows and the path oracles) averages a
     per-path payoff, and its `error` is the sample standard error.  For
     conditioned MC the samples are antithetic pair means (and an odd
@@ -121,7 +123,7 @@ class Estimate:
             raise ValueError(f"value must be a probability, got {self.value}")
         if self.error < 0.0:
             raise ValueError(f"error must be nonnegative, got {self.error}")
-        if self.method not in ("quadrature", "montecarlo"):
+        if self.method not in ("quadrature", "montecarlo", "oracle"):
             raise ValueError(f"unknown method {self.method!r}")
 
 

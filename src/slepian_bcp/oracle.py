@@ -1,23 +1,37 @@
 """Brute-force path-simulation oracle, independent of the analytic code.
 
-Paths are generated straight from the moving-window representation
-W_t = (B_t - B_{t-q}) / sqrt(q): a Brownian motion B is built by cumulative
-sums of independent N(0, dt) increments on a grid covering [0, d] and the
-window difference is read off for t in [q, d].
+Paths come straight from the moving-window representation
+W_t = (B_t - B_{t-q}) / sqrt(q) on a uniform grid t_j = t_lo + j dt,
+j = 0..k, with k dt <= q (d <= 2q, and a bridge no longer than q).  The
+W-step over [t_j, t_j + dt] is (R_j - L_j) / sqrt(q), where R_j is the
+B-increment on [t_j, t_j + dt] and L_j the one on [t_j - q, t_j - q + dt];
+since k dt <= q these intervals are disjoint, so all 2k increments are iid
+N(0, dt).  The orthogonal rotation D_j = R_j - L_j, S_j = R_j + L_j keeps
+them independent, N(0, 2 dt) each.  W at t_lo is (sum L_j + G) / sqrt(q),
+with G the B-increment over the rest of [t_lo - q, t_lo], and
+sum L_j = (sum S_j - sum D_j) / 2; the S_j and G enter only through
+sum S_j / 2 + G ~ N(0, q - k dt / 2).  So k + 1 standard normals
+Z_0..Z_k per path give W exactly in law:
+
+    dW_j = sqrt(2 dt / q) Z_j,
+    W_{t_lo} = sqrt(1 - k dt / (2 q)) Z_0 - sum_j dW_j / 2,
+    W = W_{t_lo} + cumsum(dW),
+
+an exact change of variables on independent Gaussian increments
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+section 3.1).
 
 Crossings between grid nodes are accounted for exactly, from the same
-representation.  For d <= 2q the B-intervals [t_k - q, t_{k+1} - q] and
-[t_k, t_{k+1}] behind one W-step do not overlap, so given B on the grid,
-W on that step is its chord plus the difference of two independent
-Brownian bridges, a bridge of variance 2 s (h - s) / (q h) at offset s
+representation.  Given B on the grid, W on one step is its chord plus the
+difference of two independent Brownian bridges (on the disjoint intervals
+behind R_j and L_j), a bridge of variance 2 s (h - s) / (q h) at offset s
 into a step of length h.  A path that stays below an affine boundary at
 both nodes therefore crosses it inside the step with probability
 exp(-q (g_k - w_k)(g_{k+1} - w_{k+1}) / h), and both estimators average
 the resulting per-path crossing probabilities (the Brownian-bridge
-correction for discretely monitored paths; Glasserman, Monte Carlo Methods
-in Financial Engineering, 2003, section 6.4).  Nothing here calls the
-analytic bridge formulas, so the oracle stays an independent cross-check
-of the engines.
+correction for discretely monitored paths; Glasserman 2003, section 6.4).
+Nothing here calls the analytic bridge formulas, so the oracle stays an
+independent cross-check of the engines.
 
 Path blocks draw from seed-derived streams indexed by block number, so a
 fixed configuration reproduces the same ensemble regardless of how blocks
@@ -40,7 +54,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 from .numerics import gaussian_stream
 from .process import ProcessParams, covariance_matrix
 
-_PATH_BLOCK_ELEMS = 1 << 22     # Brownian grid values per path block
+_PATH_BLOCK_ELEMS = 1 << 22     # standard normals per path block
 
 
 @dataclass(frozen=True)
@@ -74,66 +88,47 @@ class SimConfig:
         return round((self.params.d - self.params.q) / self.grid_step)
 
 
-def _grids(params: ProcessParams, t_lo: float, t_hi: float, step: float):
-    """Evaluation times on [t_lo, t_hi] plus the Brownian support grid.
-
-    Returns (times, brownian_times, idx_left, idx_right) with
-    W[times[k]] = (B[idx_right[k]] - B[idx_left[k]]) / sqrt(q); the Brownian
-    grid starts at t_lo - q, where B is anchored to zero (only increments
-    matter).  When q/step is an integer m the two indices are the basic
-    slices 0..k and m..m+k, so the window difference reads B through views
-    instead of gathering two copies; otherwise they are index arrays into
-    the merged two-lattice grid.
-    """
-    k = round((t_hi - t_lo) / step)
-    offsets = np.arange(k + 1) * step
-    times = t_lo + offsets
-    ratio = params.q / step
-    if abs(ratio - round(ratio)) < 1e-9:
-        m = round(ratio)
-        b_times = (t_lo - params.q) + np.arange(m + k + 1) * step
-        return times, b_times, slice(0, k + 1), slice(m, m + k + 1)
-    left = (t_lo - params.q) + offsets
-    right = t_lo + offsets
-    both = np.concatenate([left, right])
-    order = np.argsort(both, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(both))
-    b_times = both[order]
-    return times, b_times, rank[:k + 1], rank[k + 1:]
+def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
+    """Evaluation times t_lo + j step, j = 0..round((t_hi - t_lo) / step)."""
+    return t_lo + np.arange(round((t_hi - t_lo) / step) + 1) * step
 
 
-def _window_paths(params: ProcessParams, grid, n_paths: int, seed: int
+def _window_paths(times: np.ndarray, ratio: float, n_paths: int, seed: int
                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (times, values) blocks of W on a grid from `_grids`.
+    """Yield (times, values) blocks of W on the uniform grid `times`.
 
-    Each block holds about _PATH_BLOCK_ELEMS Brownian grid values.
+    `ratio` is the grid step over q.  Each block is one (paths x (k + 1))
+    draw of about _PATH_BLOCK_ELEMS standard normals from its block's
+    stream.
     """
-    times, b_times, idx_l, idx_r = grid
-    sqrt_dt = np.sqrt(np.diff(b_times))
-    n_inc = len(sqrt_dt)
-    block_size = max(128, _PATH_BLOCK_ELEMS // len(b_times))
-    for j, k in _blocks(n_paths, block_size):
+    width = len(times)
+    for j, k in _blocks(n_paths, max(1, _PATH_BLOCK_ELEMS // width)):
         yield times, _window_block(
-            gaussian_stream(seed, j).normals(k * n_inc).reshape(k, n_inc),
-            sqrt_dt, idx_l, idx_r, params.q)
+            gaussian_stream(seed, j).normals(k * width).reshape(k, width),
+            ratio)
 
 
-def _window_block(eps, sqrt_dt, idx_l, idx_r, q):
-    """W on one block from its (paths x increments) standard normals.
+def _window_block(z: np.ndarray, ratio: float) -> np.ndarray:
+    """W on one block from its (paths x (k + 1)) standard normals.
 
-    The increments are scaled in place (`eps` is overwritten) and cumulated
-    into B, whose column 0 is the anchor 0, and W is read off as the window
-    difference.  Kept out of the generator in `_window_paths` so that the
-    draws and B are freed before the block is yielded.
+    `ratio` is the grid step over q.  Columns 1..k become the W-steps
+    dW_j = sqrt(2 ratio) Z_j, column 0 becomes
+    W_{t_lo} = sqrt(1 - k ratio / 2) Z_0 - sum_j dW_j / 2, and the row
+    cumsum is W at the k + 1 nodes.  This is exact for k ratio <= 1: the
+    two B-increments behind a W-step lie on disjoint intervals, and
+    rotating each pair into its difference (the W-step) and sum leaves
+    independent normals, of which W_{t_lo} needs the sums only through one
+    N(0, 1 - k ratio / 2) term (see the module docstring).  W is built
+    in place in `z`, which is returned.
     """
-    eps *= sqrt_dt
-    b = np.empty((len(eps), eps.shape[1] + 1))
-    b[:, 0] = 0.0
-    np.cumsum(eps, axis=1, out=b[:, 1:])
-    w = b[:, idx_r] - b[:, idx_l]
-    w /= math.sqrt(q)
-    return w
+    k = z.shape[1] - 1
+    dw = z[:, 1:]
+    dw *= math.sqrt(2.0 * ratio)
+    w0 = z[:, 0]
+    w0 *= math.sqrt(1.0 - 0.5 * k * ratio)
+    w0 -= 0.5 * dw.sum(axis=1)
+    np.cumsum(z, axis=1, out=z)
+    return z
 
 
 def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -142,10 +137,9 @@ def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     `values` has one row per path; rows across all blocks form the full
     ensemble of cfg.n_paths paths, reproducible from cfg.seed.
     """
-    params = cfg.params
-    yield from _window_paths(
-        params, _grids(params, params.q, params.d, cfg.grid_step),
-        cfg.n_paths, cfg.seed)
+    params, step = cfg.params, cfg.grid_step
+    yield from _window_paths(_grid(params.q, params.d, step), step / params.q,
+                             cfg.n_paths, cfg.seed)
 
 
 def _step_limits(boundary: PiecewiseAffineBoundary, times: np.ndarray,
@@ -248,7 +242,7 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
         raise DomainError(
             f"crossing must be 'bridge' or 'nodes', got {crossing!r}")
     params = cfg.params
-    times = _grids(params, params.q, params.d, cfg.grid_step)[0]
+    times = _grid(params.q, params.d, cfg.grid_step)
     if crossing == "nodes":
         g = boundary.evaluate(times)
         payoffs = (np.any(w > g, axis=1).astype(float)
@@ -260,7 +254,7 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
                    for _, w in simulate_paths(cfg))
     mean, sem = _moments(z[:, None] for z in payoffs)
     return Estimate(value=float(mean[0]), error=float(sem[0]),
-                    method="montecarlo", n_samples=cfg.n_paths, seed=cfg.seed)
+                    method="oracle", n_samples=cfg.n_paths, seed=cfg.seed)
 
 
 def empirical_covariance(cfg: SimConfig, n_lags: int = 20):
@@ -294,7 +288,7 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     """
     h = spec.h
     if spec.x_i >= b or spec.x_i1 >= b + a * h:
-        return Estimate(value=0.0, error=0.0, method="montecarlo",
+        return Estimate(value=0.0, error=0.0, method="oracle",
                         n_samples=n_paths, seed=seed)
     params = spec.params
     k = round(h / grid_step)
@@ -302,8 +296,7 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
         raise DomainError(
             f"grid_step={grid_step} must divide the bridge length {h} "
             "within rounding, with at least two subintervals")
-    grid = _grids(params, spec.t_i, spec.t_i1, grid_step)
-    times = grid[0]
+    times = _grid(spec.t_i, spec.t_i1, grid_step)
     sigma = covariance_matrix(params, times)
     pin_idx = [0, len(times) - 1]
     s_pp = sigma[np.ix_(pin_idx, pin_idx)]
@@ -323,9 +316,9 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
         return _bridge_crossing(w, *limits, params.q / grid_step)[:, None]
 
     mean, sem = _moments(payoff(w) for _, w in _window_paths(
-        params, grid, n_paths, seed))
+        times, grid_step / params.q, n_paths, seed))
     return Estimate(value=1.0 - float(mean[0]), error=float(sem[0]),
-                    method="montecarlo", n_samples=n_paths, seed=seed)
+                    method="oracle", n_samples=n_paths, seed=seed)
 
 
 def dump_paths(cfg: SimConfig, fp: IO[str] | str,

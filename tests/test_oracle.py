@@ -10,43 +10,31 @@ import pytest
 from slepian_bcp import (AffinePiece, BridgeSpec, DomainError,
                          PiecewiseAffineBoundary, ProcessParams, SimConfig,
                          affine_boundary, bcp_quadrature, constant_boundary,
-                         dump_paths, empirical_bcp, empirical_bridge_noncross,
-                         empirical_covariance, gaussian_stream,
-                         noncross_affine_product, noncross_constant,
-                         simulate_paths)
+                         covariance_matrix, dump_paths, empirical_bcp,
+                         empirical_bridge_noncross, empirical_covariance,
+                         gaussian_stream, noncross_affine_product,
+                         noncross_constant, simulate_paths)
 
 PARAMS = ProcessParams(1.0, 2.0)
 
 
-def _collect(cfg, **kw):
-    blocks = [w for _, w in simulate_paths(cfg, **kw)]
-    times = next(iter(simulate_paths(cfg, **kw)))[0]
+def _collect(cfg):
+    blocks = [w for _, w in simulate_paths(cfg)]
+    times = next(iter(simulate_paths(cfg)))[0]
     return times, np.concatenate(blocks, axis=0)
 
 
 def _reference_window(params, step, n_paths, seed):
-    """W = (B[:, idx_r] - B[:, idx_l]) / sqrt(q) with explicit index arrays,
-    B cumulated from one block of `gaussian_stream(seed, 0)` increments."""
+    """W from k + 1 standard normals per path, written out: W-steps
+    sqrt(2 step/q) Z_j, W at q = sqrt(1 - k step/(2q)) Z_0 minus half their
+    sum, then a running sum; one block of `gaussian_stream(seed, 0)`."""
     k = round((params.d - params.q) / step)
-    offsets = np.arange(k + 1) * step
-    m = params.q / step
-    if abs(m - round(m)) < 1e-9:
-        b_times = np.arange(round(m) + k + 1) * step
-        idx_l = np.arange(k + 1)
-        idx_r = round(m) + np.arange(k + 1)
-    else:
-        both = np.concatenate([offsets, params.q + offsets])
-        order = np.argsort(both, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(both))
-        b_times = both[order]
-        idx_l, idx_r = rank[:k + 1], rank[k + 1:]
-    sqrt_dt = np.sqrt(np.diff(b_times))
-    eps = gaussian_stream(seed, 0).normals(n_paths * len(sqrt_dt))
-    eps = eps.reshape(n_paths, len(sqrt_dt)) * sqrt_dt
-    b = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(eps, axis=1)],
-                       axis=1)
-    return (b[:, idx_r] - b[:, idx_l]) / math.sqrt(params.q)
+    z = gaussian_stream(seed, 0).normals(n_paths * (k + 1))
+    z = z.reshape(n_paths, k + 1)
+    dw = math.sqrt(2.0 * step / params.q) * z[:, 1:]
+    w0 = (math.sqrt(1.0 - 0.5 * k * step / params.q) * z[:, 0]
+          - 0.5 * dw.sum(axis=1))
+    return np.cumsum(np.column_stack([w0, dw]), axis=1)
 
 
 class TestSimConfig:
@@ -95,10 +83,10 @@ class TestSimulatePaths:
         assert abs(corr) <= 4.0 / math.sqrt(n)
 
     @pytest.mark.parametrize("q, d", [(0.7, 1.2), (0.73, 1.23)],
-                             ids=["ratio_14_rounded", "two_lattice"])
+                             ids=["ratio_14_rounded", "fractional_ratio"])
     def test_fractional_window_grid(self, q, d):
-        # q/step = 13.999999999999998 rounds to the integer ratio 14; 14.6
-        # is a true fraction and takes the two-lattice grid
+        # q/step = 13.999999999999998 rounds to 14; 14.6 is a true fraction,
+        # which the construction does not need to be an integer
         params = ProcessParams(q, d)
         cfg = SimConfig(params, 0.05, 20_000, 4)
         times, w = _collect(cfg)
@@ -112,8 +100,9 @@ class TestSimulatePaths:
         # q/step = 14 within rounding, so this is an integer-ratio grid too
         (ProcessParams(0.7, 1.2), 0.05),
         (ProcessParams(0.73, 1.23), 0.05),
-    ], ids=["integer_ratio", "ratio_14_rounded", "two_lattice"])
+    ], ids=["integer_ratio", "ratio_14_rounded", "fractional_ratio"])
     def test_matches_index_array_window_bit_for_bit(self, params, step):
+        # the blocked, in-place construction against its written-out form
         cfg = SimConfig(params, step, 500, 31)
         _, w = _collect(cfg)
         np.testing.assert_array_equal(
@@ -258,6 +247,25 @@ class TestEmpiricalCovariance:
         assert len(lags) == 20
         assert np.all(np.abs(est - target) <= 3.0 * se)
 
+    @pytest.mark.parametrize("q, d, step, seed", [
+        (1.0, 2.0, 0.01, 24),
+        (1.0, 1.05, 1e-3, 25),
+        (0.73, 1.23, 0.05, 26),
+    ], ids=["full_window", "short_horizon", "fractional_ratio"])
+    def test_interior_pairs_match_covariance_matrix(self, q, d, step, seed):
+        # every node pair among five spread over [q, d], variances included:
+        # W at q carries the Z_0 term, every later node adds W-steps to it
+        params = ProcessParams(q, d)
+        cfg = SimConfig(params, step, 40_000, seed)
+        times, w = _collect(cfg)
+        idx = np.round(np.linspace(0, cfg.n_steps, 5)).astype(int)
+        target = covariance_matrix(params, times[idx])
+        for a in range(5):
+            for b in range(a, 5):
+                prod = w[:, idx[a]] * w[:, idx[b]]
+                se = prod.std(ddof=1) / math.sqrt(len(prod))
+                assert abs(prod.mean() - target[a, b]) <= 4.0 * se, (a, b)
+
 
 class TestEmpiricalBridgeNoncross:
     def test_constant_boundary_matches_closed_form(self):
@@ -273,7 +281,9 @@ class TestEmpiricalBridgeNoncross:
         (1.2, 1.7, 0.3, 0.5, 0.9, 0.6, 0.01),
         (1.0, 1.8, 0.0, 0.1, 1.0, -0.5, 0.02),
         (1.3, 1.35, 0.5, 0.4, 0.8, -1.0, 0.005),
-    ], ids=["constant", "rising", "falling", "short"])
+        # h = 0.06 on a fractional q/step, pins near a rising boundary
+        (1.9, 1.96, 0.5, 0.55, 0.7, 0.5, 0.003),
+    ], ids=["constant", "rising", "falling", "short", "short_late"])
     def test_matches_exact_product_at_coarse_step(self, t_i, t_i1, x_i, x_i1,
                                                   b, a, step):
         # the crossings between nodes are accounted for exactly, so even a
