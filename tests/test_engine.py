@@ -351,6 +351,47 @@ class TestContractionKernel:
         panels = engine._log_matmul(p, iter((k[:, :1], k[:, 1:3], k[:, 3:])))
         np.testing.assert_allclose(panels, got, rtol=1e-15)
 
+    def test_log_matmul_cut_matches_fsum(self):
+        # entries over [-1500, 0]; the first three slots of each row of p
+        # and column of k lie in [-3, 0], so every sum keeps a term above
+        # e^-6; slot 3 straddles the e^-350 cut and slot 4 lies between
+        # e^-40 and e^-5; row 1 of p and column 2 of k hold one maximum
+        # with every other term more than 350 below it
+        rng = np.random.default_rng(17)
+        p = rng.uniform(-1500.0, 0.0, (6, 9))
+        k = rng.uniform(-1500.0, 0.0, (9, 5))
+        p[:, :3] = rng.uniform(-3.0, 0.0, (6, 3))
+        k[:3] = rng.uniform(-3.0, 0.0, (3, 5))
+        p[:, 3] = rng.uniform(-355.0, -345.0, 6)
+        k[3] = rng.uniform(-3.0, 0.0, 5)
+        p[:, 4] = rng.uniform(-3.0, 0.0, 6)
+        k[4] = rng.uniform(-40.0, -5.0, 5)
+        p[1] = np.concatenate(([0.0], rng.uniform(-1500.0, -351.0, 8)))
+        k[:, 2] = np.concatenate(([0.0], rng.uniform(-1500.0, -351.0, 8)))
+        got = engine._log_matmul(p, k)
+        for r in range(6):
+            for c in range(5):
+                terms = [p[r, j] + k[j, c] for j in range(9)]
+                mx = max(terms)
+                want = mx + math.log(math.fsum(math.exp(t - mx)
+                                               for t in terms))
+                # a 1e-13 relative error of a sum is 1e-13 on its log
+                assert abs(got[r, c] - want) <= 1e-13
+
+    @pytest.mark.parametrize("n_nodes", [144, 576])
+    def test_skewed_partition_contracts_without_underflow(self, n_nodes):
+        # a 1% first gap of a 2% span puts most scaled exponents below
+        # -708; none of them may reach exp or the matrix product
+        params = ProcessParams(1.0, 1.02)
+        bnd = constant_boundary(params, 1.0)
+        part = Partition(params, (1.0, 1.0002, 1.01, 1.02))
+        limits = [bnd.evaluate(t) for t in part.times]
+        with np.errstate(under="raise"):
+            got = engine._noncross_tensor_gl(
+                params, part.times, limits, engine._local_pieces(bnd, part),
+                n_nodes)
+        assert 0.0 < got < 2.0
+
 
 class TestBcpMontecarlo:
     def test_boundary_below_everything(self):
