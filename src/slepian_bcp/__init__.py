@@ -11,14 +11,13 @@ from .boundary import (AffinePiece, PiecewiseAffineBoundary, affine_boundary,
                        approximate, boundary_from_dict, boundary_to_dict,
                        constant_boundary, dump_boundary, load_boundary)
 from .bridge import (BridgeSpec, hitting_density_double,
-                     hitting_density_single, noncross_affine,
-                     noncross_affine_product, noncross_constant)
+                     hitting_density_single, noncross_affine_product,
+                     noncross_constant)
 from .engine import (Estimate, Partition, StudyRow, bcp_montecarlo,
                      bcp_quadrature, convergence_study, bcp_integrand)
 from .errors import (DomainError, NotPositiveDefiniteError,
                      QuadratureNonConvergenceError, SlepianError)
-from .numerics import (GaussianStream, QuadResult, cholesky,
-                       gaussian_stream, integrate_adaptive)
+from .numerics import GaussianStream, cholesky, gaussian_stream
 from .oracle import (SimConfig, dump_paths, empirical_bcp,
                      empirical_bridge_noncross, empirical_covariance,
                      simulate_paths)
@@ -32,7 +31,7 @@ __all__ = [
     "AffinePiece", "BridgeSpec", "DomainError",
     "Estimate", "GaussianStream", "GaussianVectorSpec",
     "NotPositiveDefiniteError", "Partition", "PiecewiseAffineBoundary",
-    "ProcessParams", "QuadResult", "QuadratureNonConvergenceError",
+    "ProcessParams", "QuadratureNonConvergenceError",
     "SimConfig", "SlepianError", "StudyRow", "affine_boundary",
     "approximate", "bcp_montecarlo", "bcp_quadrature", "boundary_from_dict",
     "boundary_to_dict", "cholesky", "conditional_density",
@@ -40,7 +39,7 @@ __all__ = [
     "covariance_matrix", "dump_boundary", "dump_paths", "empirical_bcp",
     "empirical_bridge_noncross", "empirical_covariance", "fdd_density",
     "fdd_log_density", "gaussian_stream", "hitting_density_double",
-    "hitting_density_single", "integrate_adaptive", "load_boundary",
-    "noncross_affine", "noncross_affine_product", "noncross_constant",
+    "hitting_density_single", "load_boundary",
+    "noncross_affine_product", "noncross_constant",
     "pair_density", "rescale", "simulate_paths", "bcp_integrand",
 ]

@@ -18,13 +18,10 @@ integral of the double-conditioned first-hitting density
                     + (x_i1 - b - a s)^2 / (h - s)
                     - (x_i1 - x_i)^2 / h ],
 
-where E(s) <= 0 always (Cauchy-Schwarz), so the integrand never overflows:
-the largest exponent has been subtracted into E rather than kept as an
-exp(+...) prefactor.  `noncross_affine` evaluates the integral by adaptive
-Gauss-Kronrod after substitutions that remove the endpoint singularities;
-`noncross_affine_product` is the algebraically reduced product form used in
-vectorized inner loops (the two routes are pinned against each other in the
-test suite).
+where E(s) <= 0 always (Cauchy-Schwarz), so the density never overflows.
+The integral has the closed form `noncross_affine_product`, the only route
+the library evaluates; the test suite checks it against the density
+integrated by an independent quadrature (QUADPACK).
 """
 
 from __future__ import annotations
@@ -35,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import integrate_adaptive
 from .process import ProcessParams
-
-_DEGENERATE_PIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,93 +84,13 @@ def _affine_exponent(q, h, b, a, x_i, x_i1, s):
                          - (x_i1 - x_i) ** 2 / h)
 
 
-def _affine_hitting_integral(q, h, b, a, x_i, x_i1, tol):
-    """Integral of s^{-3/2} (h-s)^{-1/2} exp(E(s)) over (0, h).
-
-    Split at h/2.  On the left half s = v^2 removes the s^{-3/2}
-    singularity; on the right half s = h - w^2 absorbs (h-s)^{-1/2}
-    entirely.  Both transformed integrands vanish with all derivatives at
-    the singular corner because the exponential dominates, so adaptive
-    Gauss-Kronrod converges fast.  Evaluated in log space: the raw
-    1/v^2 prefactor would overflow before the exponential underflows.
-
-    When a pin is very close to the boundary the surviving mass forms a
-    boundary layer of width ~ sqrt(q)*gap/2 in the substituted variable;
-    those scales are passed to the integrator as seed panel edges so the
-    layer cannot hide between the nodes of a wide panel.
-    """
-    half = math.sqrt(h / 2.0)
-
-    def masked(v, s):
-        good = (s > 0.0) & (s < h)
-        s_safe = np.where(good, s, 0.5 * h)
-        return good, s_safe
-
-    def left(v):
-        v = np.asarray(v, dtype=float)
-        good, s = masked(v, v * v)
-        logf = (math.log(2.0) - 2.0 * np.log(np.where(good, v, 1.0))
-                - 0.5 * np.log(h - s)
-                + _affine_exponent(q, h, b, a, x_i, x_i1, s))
-        return np.where(good, np.exp(logf), 0.0)
-
-    def right(w):
-        w = np.asarray(w, dtype=float)
-        good, s = masked(w, h - w * w)
-        logf = (math.log(2.0) - 1.5 * np.log(s)
-                + _affine_exponent(q, h, b, a, x_i, x_i1, s))
-        return np.where(good, np.exp(logf), 0.0)
-
-    def layer_seeds(gap):
-        scale = 0.5 * math.sqrt(q) * gap
-        return tuple(scale * 10.0 ** k for k in range(-1, 4))
-
-    res_l = integrate_adaptive(left, 0.0, half, tol=0.5 * tol,
-                               initial_points=layer_seeds(b - x_i))
-    res_r = integrate_adaptive(right, 0.0, half, tol=0.5 * tol,
-                               initial_points=layer_seeds(b + a * h - x_i1))
-    return (res_l.value + res_r.value, res_l.error_bound + res_r.error_bound,
-            res_l.evaluations + res_r.evaluations)
-
-
-def _check_affine_pins(spec: BridgeSpec, b: float, a: float):
-    """Validate strict pins; returns True when a pin is degenerately close."""
+def _check_affine_pins(spec: BridgeSpec, b: float, a: float) -> None:
+    """Raise DomainError unless both pins lie on or below the boundary."""
     right = b + a * spec.h
     if spec.x_i > b or spec.x_i1 > right:
         raise DomainError(
             f"pins must lie strictly below the boundary: x_i={spec.x_i} vs "
             f"b={b}, x_i1={spec.x_i1} vs b+a*h={right}")
-    return (b - spec.x_i < _DEGENERATE_PIN
-            or right - spec.x_i1 < _DEGENERATE_PIN)
-
-
-def noncross_affine(spec: BridgeSpec, b: float, a: float,
-                    tol: float = 1e-10) -> float:
-    """P(W <= b + a*(t - t_i) on [t_i, t_i1] | pins), affine boundary.
-
-    Quadrature route: one minus the integrated hitting density, to absolute
-    tolerance tol.  A pin within 1e-12 of the boundary returns 0 directly
-    (the value is 0 by continuity and the integral is ill-conditioned
-    there).  With a = 0 this reduces to `noncross_constant` up to the
-    quadrature tolerance.
-
-    For pins within ~1e-6 of the boundary the achievable absolute accuracy
-    degrades to ~1e-9: the pin gap itself is formed by cancellation of
-    order-one inputs, and the hitting mass concentrates in a layer whose
-    location inherits that relative error.  `noncross_affine_product` stays
-    exact in that regime.
-    """
-    if _check_affine_pins(spec, b, a):
-        return 0.0
-    q, h = spec.params.q, spec.h
-    pref = math.sqrt(q * h) * (b - spec.x_i) / (2.0 * math.sqrt(math.pi))
-    # the integral scales like 1/pref (it carries the hitting mass), so the
-    # tolerance that matters for the probability is tol on pref * integral
-    inner_tol = tol / pref
-    integral, _, _ = _affine_hitting_integral(
-        q, h, b, a, spec.x_i, spec.x_i1, inner_tol)
-    value = 1.0 - pref * integral
-    return min(1.0, max(0.0, value))
 
 
 def noncross_affine_product(q, h, b, a, x_i, x_i1):
@@ -194,8 +108,8 @@ def noncross_affine_product(q, h, b, a, x_i, x_i1):
 
     Vectorized over the pins (scalars or arrays, broadcast together).  Pins
     at or above the boundary clamp to a zero factor, giving probability 0,
-    consistent with the limiting behaviour of the integral route; equality
-    of the two routes on admissible inputs is asserted in the test suite.
+    the limit as a pin approaches the boundary; the test suite checks the
+    form against the integrated hitting density on admissible inputs.
     The factor is built in one output array of the broadcast shape.
     """
     x_i = np.asarray(x_i, dtype=float)
@@ -243,7 +157,7 @@ def hitting_density_double(spec: BridgeSpec, b: float, a: float,
     """Density at t of the first crossing of b + a*(t - t_i) by the bridge.
 
     Defined strictly inside (t_i, t_i1); integrating it over the interval
-    gives one minus `noncross_affine`.
+    gives one minus `noncross_affine_product`.
     """
     if not (spec.t_i < t < spec.t_i1):
         raise DomainError(

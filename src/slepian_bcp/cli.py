@@ -186,6 +186,7 @@ def _cmd_bridge(args) -> list[dict]:
                                "slope": args.slope,
                                "t_start": args.t_start,
                                "t_end": args.t_end})
+    _check_affine_pins(spec, args.intercept, args.slope)
     start = time.perf_counter()
     if args.method == "mc":
         est = empirical_bridge_noncross(
@@ -193,7 +194,6 @@ def _cmd_bridge(args) -> list[dict]:
             grid_step=args.grid_step, seed=args.seed)
         value, error, method, seed = est.value, est.error, est.method, est.seed
     else:
-        _check_affine_pins(spec, args.intercept, args.slope)
         value = noncross_affine_product(params.q, spec.h, args.intercept,
                                         args.slope, args.x_start, args.x_end)
         error, method, seed = 0.0, "analytic", None
@@ -205,8 +205,18 @@ def _cmd_bridge(args) -> list[dict]:
     return [rec]
 
 
+_HITTING_FLAGS = {"hitting-single": ("intercept", "x_start", "t"),
+                  "hitting-double": ("intercept", "t_start", "t_end",
+                                     "x_start", "x_end", "t")}
+
+
 def _cmd_density(args) -> list[dict]:
     params = ProcessParams(args.q, args.d)
+    missing = [f"--{name.replace('_', '-')}"
+               for name in _HITTING_FLAGS.get(args.kind, ())
+               if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"{args.kind} density needs {', '.join(missing)}")
     times = _floats(args.times) if args.times else []
     values = _floats(args.values) if args.values else []
     start = time.perf_counter()
@@ -240,13 +250,23 @@ def _cmd_density(args) -> list[dict]:
 
 def _cmd_converge(args) -> list[dict]:
     params = ProcessParams(args.q, args.d)
-    counts = [int(c) for c in args.pieces.split(",") if c.strip()]
+    try:
+        counts = [int(c) for c in args.pieces.split(",") if c.strip()]
+    except ValueError as exc:
+        raise DomainError(f"--pieces expects integer piece counts: {exc}")
     if args.boundary is not None:
         f = load_boundary(args.boundary)
         if f.params != params:
             raise DomainError("boundary file (q, d) disagrees with flags")
     elif args.expr is not None:
-        code = compile(args.expr, "<expr>", "eval")
+        try:
+            code = compile(args.expr, "<expr>", "eval")
+        except SyntaxError as exc:
+            raise DomainError(f"--expr is not an expression: {exc.msg}")
+        unknown = sorted(set(code.co_names) - set(_EXPR_NAMES) - {"t"})
+        if unknown:
+            raise DomainError(f"--expr uses unknown names: "
+                              f"{', '.join(unknown)}")
 
         def f(t, _code=code):
             return float(eval(_code, {"__builtins__": {}},

@@ -18,9 +18,9 @@ class NotPositiveDefiniteError(SlepianError):
 
 
 class QuadratureNonConvergenceError(SlepianError):
-    """Adaptive quadrature exhausted its budget before reaching tolerance.
+    """Quadrature ended its refinement ladder before reaching tolerance.
 
-    Carries the best value obtained and the achieved error bound so the
+    Carries the last value obtained and the achieved error estimate so the
     caller can decide whether the result is still usable.
     """
 

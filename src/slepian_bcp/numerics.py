@@ -1,129 +1,20 @@
 """Shared numerical kernels.
 
-Adaptive 1-D quadrature (nested Gauss-Kronrod pairs with bisection), cached
-Gauss-Legendre rules for tensor-product integration (Newton iteration in
-O(n) memory, accurate to a few ulp up to the thousands of nodes the
-quadrature ladder uses), a Cholesky wrapper with a semantic failure signal,
-and reproducible seed-derived streams of standard normal variates.
+Cached Gauss-Legendre rules for tensor-product integration (Newton
+iteration in O(n) memory, accurate to a few ulp up to the thousands of
+nodes the quadrature ladder uses), a Cholesky wrapper with a semantic
+failure signal, and reproducible seed-derived streams of standard normal
+variates.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, QuadratureNonConvergenceError
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
-# Columns: node, Gauss-7 weight (0 on extension nodes), Kronrod-15 weight.
-_GK15 = np.array([
-    [-0.991455371120813, 0.000000000000000, 0.022935322010529],
-    [-0.949107912342759, 0.129484966168870, 0.063092092629979],
-    [-0.864864423359769, 0.000000000000000, 0.104790010322250],
-    [-0.741531185599394, 0.279705391489277, 0.140653259715525],
-    [-0.586087235467691, 0.000000000000000, 0.169004726639267],
-    [-0.405845151377397, 0.381830050505119, 0.190350578064785],
-    [-0.207784955007898, 0.000000000000000, 0.204432940075298],
-    [0.000000000000000, 0.417959183673469, 0.209482141084728],
-    [0.207784955007898, 0.000000000000000, 0.204432940075298],
-    [0.405845151377397, 0.381830050505119, 0.190350578064785],
-    [0.586087235467691, 0.000000000000000, 0.169004726639267],
-    [0.741531185599394, 0.279705391489277, 0.140653259715525],
-    [0.864864423359769, 0.000000000000000, 0.104790010322250],
-    [0.949107912342759, 0.129484966168870, 0.063092092629979],
-    [0.991455371120813, 0.000000000000000, 0.022935322010529],
-])
-_GK_NODES = _GK15[:, 0]
-_G7_W = _GK15[:, 1]
-_K15_W = _GK15[:, 2]
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """Value, error bound and cost of a quadrature run."""
-
-    value: float
-    error_bound: float
-    evaluations: int
-
-    def __post_init__(self):
-        if self.error_bound < 0:
-            raise ValueError("error_bound must be nonnegative")
-
-
-def _gk15_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """One Gauss-Kronrod panel on [a, b]; returns (integral, error_estimate)."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    fx = np.asarray(f(x), dtype=float)
-    gauss = half * float(fx @ _G7_W)
-    kronrod = half * float(fx @ _K15_W)
-    # plain |K15 - G7|: deliberately conservative; the usual (200 d)^1.5
-    # sharpening under-reports on boundary-layer panels
-    return kronrod, abs(kronrod - gauss)
-
-
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
-                       b: float, tol: float = 1e-10,
-                       max_evals: int = 100_000,
-                       initial_points: tuple = ()) -> QuadResult:
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    The integrand must accept an ndarray of abscissae and return the
-    corresponding values; it is never evaluated at the endpoints themselves
-    (all Kronrod nodes are interior), so integrable endpoint behaviour that
-    the caller has already tamed by substitution is fine.
-
-    Bisection-based adaptivity: the panel with the largest error estimate is
-    split until the summed bound falls below tol or the evaluation budget is
-    exhausted, in which case QuadratureNonConvergenceError carries the best
-    value and the achieved bound.
-
-    `initial_points` seeds panel boundaries (entries outside (a, b) are
-    ignored).  Pass the location of any sharp feature whose width is far
-    below the interval length: a spike that falls between the nodes of a
-    wide panel produces a deceptively small error estimate and would
-    otherwise be missed.
-    """
-    if not a < b:
-        raise ValueError(f"integration interval is empty: [{a}, {b}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    edges = [a] + sorted(p for p in set(initial_points) if a < p < b) + [b]
-    heap = []
-    evals = 0
-    counter = 0
-    for lo, hi in zip(edges, edges[1:]):
-        value, err = _gk15_panel(f, lo, hi)
-        evals += 15
-        heap.append((-err, counter, lo, hi, value))
-        counter += 1
-    heapq.heapify(heap)
-    while True:
-        total_err = -sum(item[0] for item in heap)
-        if total_err <= tol:
-            total = sum(item[4] for item in heap)
-            return QuadResult(total, total_err, evals)
-        if evals + 30 > max_evals:
-            total = sum(item[4] for item in heap)
-            raise QuadratureNonConvergenceError(
-                f"no convergence to tol={tol:g} within {max_evals} "
-                f"evaluations (achieved {total_err:g})",
-                value=total, error_bound=total_err, evaluations=evals)
-        _, _, pa, pb, _ = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        left_v, left_e = _gk15_panel(f, pa, mid)
-        right_v, right_e = _gk15_panel(f, mid, pb)
-        evals += 30
-        heapq.heappush(heap, (-left_e, counter, pa, mid, left_v))
-        heapq.heappush(heap, (-right_e, counter + 1, mid, pb, right_v))
-        counter += 2
+from .errors import NotPositiveDefiniteError
 
 
 def _legendre_theta(n: int, theta: np.ndarray):

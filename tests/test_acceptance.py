@@ -7,11 +7,13 @@ criterion number as seed, fixed up front.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from bridge_reference import integrate, noncross_affine
 from slepian_bcp import (AffinePiece, BridgeSpec, GaussianVectorSpec,
                          Partition, PiecewiseAffineBoundary, ProcessParams,
                          SimConfig, approximate, bcp_montecarlo,
@@ -19,9 +21,8 @@ from slepian_bcp import (AffinePiece, BridgeSpec, GaussianVectorSpec,
                          constant_boundary, convergence_study,
                          covariance_matrix, empirical_bcp,
                          empirical_covariance, fdd_density,
-                         hitting_density_double, integrate_adaptive,
-                         noncross_affine, noncross_constant, pair_density,
-                         affine_boundary)
+                         hitting_density_double, noncross_constant,
+                         pair_density, affine_boundary)
 from slepian_bcp.numerics import gauss_legendre_on
 
 
@@ -63,12 +64,8 @@ def test_criterion_02_hitting_density_identity():
     worst = 0.0
     for _ in range(200):
         spec, b, a = _random_bridge(rng)
-
-        def dens(ts, spec=spec, b=b, a=a):
-            return np.array([hitting_density_double(spec, b, a, float(t))
-                             for t in ts])
-
-        total = integrate_adaptive(dens, spec.t_i, spec.t_i1, tol=1e-8).value
+        total = integrate(partial(hitting_density_double, spec, b, a),
+                          spec.t_i, spec.t_i1, 1e-8)
         gap = abs(noncross_affine(spec, b, a) + total - 1.0)
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridge_reference import integrate, noncross_affine
 from slepian_bcp import (BridgeSpec, DomainError, ProcessParams,
                          empirical_bridge_noncross, hitting_density_double,
-                         hitting_density_single, integrate_adaptive,
-                         noncross_affine, noncross_affine_product,
+                         hitting_density_single, noncross_affine_product,
                          noncross_constant)
 
 PARAMS = ProcessParams(1.0, 2.0)
@@ -138,6 +138,18 @@ class TestNoncrossAffine:
             worst = max(worst, abs(quad - prod))
         assert worst <= 1e-8
 
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 2.0])
+    def test_product_form_matches_quadrature_near_the_boundary(self, gap, a):
+        # one pin or both within gap of the boundary; the reference is
+        # tested down to gap 1e-6
+        b, h = 1.0, 0.6
+        for gap_l, gap_r in ((gap, gap), (gap, 0.7), (0.7, gap)):
+            spec = BridgeSpec(PARAMS, 1.0, 1.0 + h, b - gap_l,
+                              b + a * h - gap_r)
+            prod = noncross_affine_product(1.0, h, b, a, spec.x_i, spec.x_i1)
+            assert abs(noncross_affine(spec, b, a) - prod) <= 1e-8
+
     def test_product_form_vectorized(self):
         x = np.linspace(-2.0, 0.9, 7)
         vals = noncross_affine_product(1.0, 0.5, 1.0, 0.2, x, x[::-1])
@@ -189,14 +201,10 @@ class TestHittingDensitySingle:
         b, x1, delta = 1.0, 1.0 - 1e-3, 0.05
 
         def integrand(v):
-            s = v * v
-            return np.array([
-                2.0 * vv * hitting_density_single(PARAMS, b, 0.0, x1,
-                                                  1.0 + ss)
-                for vv, ss in zip(v, s)])
+            return 2.0 * v * hitting_density_single(PARAMS, b, 0.0, x1,
+                                                    1.0 + v * v)
 
-        mass = integrate_adaptive(integrand, 0.0, math.sqrt(delta),
-                                  tol=1e-6).value
+        mass = integrate(integrand, 0.0, math.sqrt(delta), 1e-6)
         assert mass >= 0.95
 
     def test_integral_matches_markov_decomposition(self):
@@ -208,21 +216,17 @@ class TestHittingDensitySingle:
         mean = (2.0 - e) * x1
 
         def hit(v):
-            s = v * v
-            return np.array([
-                2.0 * vv * hitting_density_single(PARAMS, b, 0.0, x1,
-                                                  q + ss)
-                for vv, ss in zip(v, s)])
+            return 2.0 * v * hitting_density_single(PARAMS, b, 0.0, x1,
+                                                    q + v * v)
 
-        total_hit = integrate_adaptive(hit, 0.0, math.sqrt(d - q),
-                                       tol=1e-9).value
+        total_hit = integrate(hit, 0.0, math.sqrt(d - q), 1e-9)
 
         def survive(y):
-            dens = np.exp(-(y - mean) ** 2 / (2 * var)) \
+            dens = math.exp(-(y - mean) ** 2 / (2 * var)) \
                 / math.sqrt(2 * math.pi * var)
-            return dens * (-np.expm1(-q * (b - x1) * (b - y) / (d - q)))
+            return dens * (-math.expm1(-q * (b - x1) * (b - y) / (d - q)))
 
-        total_survive = integrate_adaptive(survive, -12.0, b, tol=1e-9).value
+        total_survive = integrate(survive, -12.0, b, 1e-9)
         assert total_hit + total_survive == pytest.approx(1.0, abs=1e-6)
 
     def test_integral_vs_path_simulation(self):
@@ -231,14 +235,10 @@ class TestHittingDensitySingle:
         step, n_paths = 2e-3, 30_000
 
         def hit(v):
-            s = v * v
-            return np.array([
-                2.0 * vv * hitting_density_single(PARAMS, b, 0.0, x1,
-                                                  q + ss)
-                for vv, ss in zip(v, s)])
+            return 2.0 * v * hitting_density_single(PARAMS, b, 0.0, x1,
+                                                    q + v * v)
 
-        crossing = integrate_adaptive(hit, 0.0, math.sqrt(d - q),
-                                      tol=1e-8).value
+        crossing = integrate(hit, 0.0, math.sqrt(d - q), 1e-8)
 
         from slepian_bcp.numerics import gaussian_stream
         k = round((d - q) / step)
@@ -276,25 +276,22 @@ class TestHittingDensitySingle:
 
 
 def _integrate_double_density(spec, b, a, tol=1e-8):
-    def integrand(ts):
-        return np.array([hitting_density_double(spec, b, a, float(t))
-                         for t in ts])
-
-    return integrate_adaptive(integrand, spec.t_i, spec.t_i1, tol=tol)
+    return integrate(lambda t: hitting_density_double(spec, b, a, t),
+                     spec.t_i, spec.t_i1, tol)
 
 
 class TestHittingDensityDouble:
     def test_identity_with_noncross_affine(self):
         spec = BridgeSpec(PARAMS, 1.0, 1.7, 0.0, 0.2)
         b, a = 1.0, 0.3
-        total = _integrate_double_density(spec, b, a).value
+        total = _integrate_double_density(spec, b, a)
         assert total + noncross_affine(spec, b, a) == pytest.approx(
             1.0, abs=1e-6)
 
     def test_a0_integral_reproduces_constant_closed_form(self):
         spec = BridgeSpec(PARAMS, 1.1, 1.9, -0.3, 0.4)
         b = 0.9
-        total = _integrate_double_density(spec, b, 0.0).value
+        total = _integrate_double_density(spec, b, 0.0)
         assert 1.0 - total == pytest.approx(noncross_constant(spec, b),
                                             abs=1e-7)
 

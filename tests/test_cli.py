@@ -98,12 +98,14 @@ def test_bridge_closed_form_is_labelled_analytic(capsys):
 
 
 def test_bridge_rejects_pin_above_boundary(capsys):
-    code, _, err = run_cli(
-        capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
-        "--t-end", "1.8", "--x-start", "0", "--x-end", "0.8",
-        "--intercept", "1", "--slope", "-0.5")
-    assert code == 2
-    assert "strictly below" in err
+    # both methods validate the pins before dispatch
+    for method in ("quad", "mc"):
+        code, _, err = run_cli(
+            capsys, "bridge", "--q", "1", "--d", "2", "--t-start", "1.0",
+            "--t-end", "1.8", "--x-start", "0", "--x-end", "0.8",
+            "--intercept", "1", "--slope", "-0.5", "--method", method)
+        assert code == 2, method
+        assert "strictly below" in err, method
 
 
 def test_bridge_mc_record(capsys):
@@ -135,6 +137,28 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         main([argv[0], "--q", "1", "--d", "2", *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("converge", "--q", "1", "--d", "2", "--expr", "t", "--pieces", "2,x"),
+     "--pieces"),
+    (("converge", "--q", "1", "--d", "2", "--expr", "t**", "--pieces", "2"),
+     "--expr"),
+    (("converge", "--q", "1", "--d", "2", "--expr", "foo(t)", "--pieces",
+      "2"), "--expr"),
+    (("density", "--kind", "hitting-single", "--q", "1", "--d", "2",
+      "--x-start", "0", "--t", "1.5"), "--intercept"),
+    (("density", "--kind", "hitting-single", "--q", "1", "--d", "2",
+      "--intercept", "1", "--t", "1.5"), "--x-start"),
+    (("density", "--kind", "hitting-double", "--q", "1", "--d", "2",
+      "--t-start", "1", "--t-end", "1.5", "--x-start", "0", "--x-end", "0",
+      "--intercept", "1"), "--t"),
+])
+def test_validation_errors_exit_2_and_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
 
 
 def test_density_pair_value(capsys):

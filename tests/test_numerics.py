@@ -11,72 +11,7 @@ from scipy import stats
 
 import slepian_bcp
 from slepian_bcp.numerics import gauss_legendre, gauss_legendre_on
-from slepian_bcp import (NotPositiveDefiniteError,
-                         QuadratureNonConvergenceError, cholesky,
-                         gaussian_stream, integrate_adaptive)
-
-
-class TestIntegrateAdaptive:
-    def test_constant(self):
-        res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0)
-        assert abs(res.value - 1.0) <= 1e-14
-        assert res.evaluations >= 15
-
-    def test_substitution_sanity(self):
-        # f(v) = 2v * (1/v): the pattern used at an s = v^2 endpoint.
-        res = integrate_adaptive(lambda v: 2.0 * v * (1.0 / v), 0.0, 1.0)
-        assert abs(res.value - 2.0) <= 1e-12
-
-    def test_half_power_after_substitution(self):
-        # integral of s^(-1/2) over (0, h) with s = v^2 becomes
-        # integral of 2 dv over (0, sqrt(h)); closed form 2 sqrt(h).
-        h = 0.7
-        res = integrate_adaptive(
-            lambda v: (v * v) ** -0.5 * 2.0 * v, 0.0, math.sqrt(h),
-            tol=1e-10)
-        assert abs(res.value - 2.0 * math.sqrt(h)) <= 1e-10
-
-    def test_smooth_battery_error_bounds_honest(self):
-        # On integrands with known values, the reported bound should
-        # dominate the true error in at least 99% of cases.
-        battery = []
-        for k in range(7):
-            battery.append((lambda x, k=k: x ** k, 0.0, 1.0,
-                            1.0 / (k + 1)))
-        battery.append((np.exp, 0.0, 1.0, math.e - 1.0))
-        battery.append((np.sin, 0.0, math.pi, 2.0))
-        battery.append((lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0,
-                        math.pi / 4))
-        battery.append((lambda x: np.exp(-x * x / 2), -8.0, 8.0,
-                        math.sqrt(2 * math.pi)))
-        battery.append((lambda x: np.cos(10 * x), 0.0, 1.0,
-                        math.sin(10.0) / 10.0))
-        for h in (0.3, 0.7, 1.3):
-            battery.append((lambda v: 2.0 * np.ones_like(v), 0.0,
-                            math.sqrt(h), 2.0 * math.sqrt(h)))
-            # endpoint half-power integrand after the w^2 substitution:
-            # integral of (h-s)^(-1/2) ds = 2 sqrt(h)
-            battery.append((lambda w: 2.0 * np.ones_like(w), 0.0,
-                            math.sqrt(h), 2.0 * math.sqrt(h)))
-        honest = 0
-        for f, a, b, exact in battery:
-            res = integrate_adaptive(f, a, b, tol=1e-10)
-            if abs(res.value - exact) <= max(res.error_bound, 1e-10):
-                honest += 1
-        assert honest >= math.ceil(0.99 * len(battery))
-
-    def test_nonconvergence_carries_best_value(self):
-        with pytest.raises(QuadratureNonConvergenceError) as info:
-            integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1.0,
-                               tol=1e-14, max_evals=75)
-        err = info.value
-        assert math.isfinite(err.value)
-        assert err.error_bound >= 0
-        assert err.evaluations <= 75
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(np.exp, 1.0, 1.0)
+from slepian_bcp import NotPositiveDefiniteError, cholesky, gaussian_stream
 
 
 class TestGaussLegendre:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import dblquad
 from scipy.stats import multivariate_normal
 
+from bridge_reference import integrate
 from slepian_bcp import (DomainError, GaussianVectorSpec, ProcessParams,
                          cholesky, conditional_density, covariance,
                          covariance_matrix, fdd_density, pair_density,
                          rescale)
-from slepian_bcp.numerics import integrate_adaptive
 from slepian_bcp.process import conditional_log_density
 
 
@@ -175,19 +176,9 @@ class TestFddDensity:
     def test_normalizes_m2(self):
         params = ProcessParams(1.0, 2.0)
         spec = GaussianVectorSpec(params, (1.0, 1.5))
-
-        def outer(x0_arr):
-            out = np.empty_like(x0_arr)
-            for i, x0 in enumerate(x0_arr):
-                inner = integrate_adaptive(
-                    lambda x1, x0=x0: np.array(
-                        [fdd_density(spec, [x0, v]) for v in x1]),
-                    -8.0, 8.0, tol=1e-9)
-                out[i] = inner.value
-            return out
-
-        total = integrate_adaptive(outer, -8.0, 8.0, tol=1e-7)
-        assert total.value == pytest.approx(1.0, abs=1e-6)
+        total, _ = dblquad(lambda x1, x0: fdd_density(spec, [x0, x1]),
+                           -8.0, 8.0, -8.0, 8.0, epsabs=1e-7, epsrel=0.0)
+        assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_rescaling_consistency(self):
         # Density values are invariant under the canonical time change:
@@ -244,12 +235,11 @@ class TestPairDensity:
 class TestConditionalDensity:
     def test_normalizes(self):
         params = ProcessParams(1.0, 2.0)
-        res = integrate_adaptive(
-            lambda xi: np.array([
-                conditional_density(params, 1.0, 1.4, 1.9, 0.3, v, -0.2)
-                for v in xi]),
-            -10.0, 10.0, tol=1e-9)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        total = integrate(
+            lambda xi: conditional_density(params, 1.0, 1.4, 1.9, 0.3, xi,
+                                           -0.2),
+            -10.0, 10.0, 1e-9)
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_bayes_factorization(self):
         # conditional(ti | t0, ti1) * pair(t0, ti1) == joint(t0, ti, ti1)
