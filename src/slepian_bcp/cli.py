@@ -187,6 +187,8 @@ def _cmd_bridge(args) -> list[dict]:
                                "t_start": args.t_start,
                                "t_end": args.t_end})
     _check_affine_pins(spec, args.intercept, args.slope)
+    if args.method == "mc" and args.n_paths < 1:
+        raise DomainError("--n-paths must be >= 1")
     start = time.perf_counter()
     if args.method == "mc":
         est = empirical_bridge_noncross(
@@ -269,8 +271,11 @@ def _cmd_converge(args) -> list[dict]:
                               f"{', '.join(unknown)}")
 
         def f(t, _code=code):
-            return float(eval(_code, {"__builtins__": {}},
-                              dict(_EXPR_NAMES, t=t)))
+            try:
+                return float(eval(_code, {"__builtins__": {}},
+                                  dict(_EXPR_NAMES, t=t)))
+            except (ValueError, ArithmeticError) as exc:
+                raise DomainError(f"--expr fails at t = {t}: {exc}")
     else:
         raise DomainError("converge needs --boundary or --expr")
     _check_method_flags(args)

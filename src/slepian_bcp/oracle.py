@@ -33,14 +33,18 @@ correction for discretely monitored paths; Glasserman 2003, section 6.4).
 Nothing here calls the analytic bridge formulas, so the oracle stays an
 independent cross-check of the engines.
 
-Path blocks draw from seed-derived streams indexed by block number, so a
-fixed configuration reproduces the same ensemble regardless of how blocks
-are scheduled.
+Path blocks of about _PATH_BLOCK_ELEMS normals draw from seed-derived
+streams indexed by block number.  The estimators run their blocks on a
+thread pool over every CPU the process may use; each block draws, builds W
+and returns its payoffs in one task, and the payoffs are summed in block
+order, so a fixed configuration gives bit-identical results for any CPU
+count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -49,12 +53,12 @@ import numpy as np
 
 from .boundary import PiecewiseAffineBoundary
 from .bridge import BridgeSpec
-from .engine import Estimate, _blocks, _moments
+from .engine import Estimate, _blocks, _map_blocks, _moments
 from .errors import DomainError, NotPositiveDefiniteError
 from .numerics import gaussian_stream
 from .process import ProcessParams, covariance_matrix
 
-_PATH_BLOCK_ELEMS = 1 << 22     # standard normals per path block
+_PATH_BLOCK_ELEMS = 1 << 18     # standard normals per path block (2 MB)
 
 
 @dataclass(frozen=True)
@@ -93,35 +97,38 @@ def _grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
     return t_lo + np.arange(round((t_hi - t_lo) / step) + 1) * step
 
 
-def _window_paths(times: np.ndarray, ratio: float, n_paths: int, seed: int
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (times, values) blocks of W on the uniform grid `times`.
-
-    `ratio` is the grid step over q.  Each block is one (paths x (k + 1))
-    draw of about _PATH_BLOCK_ELEMS standard normals from its block's
-    stream.
-    """
-    width = len(times)
-    for j, k in _blocks(n_paths, max(1, _PATH_BLOCK_ELEMS // width)):
-        yield times, _window_block(
-            gaussian_stream(seed, j).normals(k * width).reshape(k, width),
-            ratio)
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _window_block(z: np.ndarray, ratio: float) -> np.ndarray:
-    """W on one block from its (paths x (k + 1)) standard normals.
+def _path_blocks(n_paths: int, width: int) -> list[tuple[int, int]]:
+    """(j, paths) of the blocks of about _PATH_BLOCK_ELEMS normals that
+    cover n_paths paths of `width` nodes."""
+    return _blocks(n_paths, max(1, _PATH_BLOCK_ELEMS // width))
 
-    `ratio` is the grid step over q.  Columns 1..k become the W-steps
-    dW_j = sqrt(2 ratio) Z_j, column 0 becomes
+
+def _path_block(width: int, ratio: float, seed: int,
+                block: tuple[int, int]) -> np.ndarray:
+    """W at `width` = k + 1 grid nodes on path block (j, paths).
+
+    The block draws a (paths x (k + 1)) array Z of standard normals from
+    stream j, and `ratio` is the grid step over q.  Columns 1..k become the
+    W-steps dW_j = sqrt(2 ratio) Z_j, column 0 becomes
     W_{t_lo} = sqrt(1 - k ratio / 2) Z_0 - sum_j dW_j / 2, and the row
     cumsum is W at the k + 1 nodes.  This is exact for k ratio <= 1: the
     two B-increments behind a W-step lie on disjoint intervals, and
     rotating each pair into its difference (the W-step) and sum leaves
     independent normals, of which W_{t_lo} needs the sums only through one
     N(0, 1 - k ratio / 2) term (see the module docstring).  W is built
-    in place in `z`, which is returned.
+    in place in Z, which is returned.
     """
-    k = z.shape[1] - 1
+    j, paths = block
+    z = gaussian_stream(seed, j).normals(paths * width).reshape(paths, width)
+    k = width - 1
     dw = z[:, 1:]
     dw *= math.sqrt(2.0 * ratio)
     w0 = z[:, 0]
@@ -131,6 +138,19 @@ def _window_block(z: np.ndarray, ratio: float) -> np.ndarray:
     return z
 
 
+def _pooled_moments(width: int, ratio: float, n_paths: int, seed: int,
+                    payoff) -> tuple[np.ndarray, np.ndarray]:
+    """`_moments` of payoff(W) over the path blocks of `width` nodes.
+
+    Each block draws, builds W and returns payoff(W), one row per path, in
+    one task on a pool of `_cpu_count()` threads; results are summed in
+    block order, so they do not depend on the thread count.
+    """
+    return _moments(_map_blocks(
+        lambda block: payoff(_path_block(width, ratio, seed, block)),
+        _path_blocks(n_paths, width), _cpu_count()))
+
+
 def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (times, values) blocks of simulated paths on [q, d].
 
@@ -138,8 +158,9 @@ def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     ensemble of cfg.n_paths paths, reproducible from cfg.seed.
     """
     params, step = cfg.params, cfg.grid_step
-    yield from _window_paths(_grid(params.q, params.d, step), step / params.q,
-                             cfg.n_paths, cfg.seed)
+    times = _grid(params.q, params.d, step)
+    for block in _path_blocks(cfg.n_paths, len(times)):
+        yield times, _path_block(len(times), step / params.q, cfg.seed, block)
 
 
 def _step_limits(boundary: PiecewiseAffineBoundary, times: np.ndarray,
@@ -245,14 +266,17 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
     times = _grid(params.q, params.d, cfg.grid_step)
     if crossing == "nodes":
         g = boundary.evaluate(times)
-        payoffs = (np.any(w > g, axis=1).astype(float)
-                   for _, w in simulate_paths(cfg))
+
+        def payoff(w):
+            return np.any(w > g, axis=1).astype(float)[:, None]
     else:
         scale = params.q / cfg.grid_step
         limits = _step_limits(boundary, times, cfg.grid_step)
-        payoffs = (_bridge_crossing(w, *limits, scale)
-                   for _, w in simulate_paths(cfg))
-    mean, sem = _moments(z[:, None] for z in payoffs)
+
+        def payoff(w):
+            return _bridge_crossing(w, *limits, scale)[:, None]
+    mean, sem = _pooled_moments(len(times), cfg.grid_step / params.q,
+                                cfg.n_paths, cfg.seed, payoff)
     return Estimate(value=float(mean[0]), error=float(sem[0]),
                     method="oracle", n_samples=cfg.n_paths, seed=cfg.seed)
 
@@ -266,8 +290,9 @@ def empirical_covariance(cfg: SimConfig, n_lags: int = 20):
     """
     k_max = cfg.n_steps
     lag_idx = np.unique(np.round(np.linspace(1, k_max, n_lags)).astype(int))
-    mean, se = _moments(w[:, [0]] * w[:, lag_idx]
-                        for _, w in simulate_paths(cfg))
+    mean, se = _pooled_moments(
+        k_max + 1, cfg.grid_step / cfg.params.q, cfg.n_paths, cfg.seed,
+        lambda w: w[:, [0]] * w[:, lag_idx])
     return lag_idx * cfg.grid_step, mean, se
 
 
@@ -286,6 +311,8 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     sample standard error.  A pin on or above the boundary is a certain
     crossing, so the estimate is 0 without simulation.
     """
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
     h = spec.h
     if spec.x_i >= b or spec.x_i1 >= b + a * h:
         return Estimate(value=0.0, error=0.0, method="oracle",
@@ -315,8 +342,8 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
         w += (pins[None, :] - w[:, pin_idx]) @ gain.T
         return _bridge_crossing(w, *limits, params.q / grid_step)[:, None]
 
-    mean, sem = _moments(payoff(w) for _, w in _window_paths(
-        times, grid_step / params.q, n_paths, seed))
+    mean, sem = _pooled_moments(len(times), grid_step / params.q, n_paths,
+                                seed, payoff)
     return Estimate(value=1.0 - float(mean[0]), error=float(sem[0]),
                     method="oracle", n_samples=n_paths, seed=seed)
 

@@ -153,6 +153,11 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     (("density", "--kind", "hitting-double", "--q", "1", "--d", "2",
       "--t-start", "1", "--t-end", "1.5", "--x-start", "0", "--x-end", "0",
       "--intercept", "1"), "--t"),
+    (("converge", "--q", "1", "--d", "2", "--expr", "log(t-1)", "--pieces",
+      "2"), "--expr"),
+    (("bridge", "--q", "1", "--d", "2", "--t-start", "1.0", "--t-end", "1.8",
+      "--x-start", "0", "--x-end", "0.1", "--intercept", "1", "--slope",
+      "-0.5", "--method", "mc", "--n-paths", "0"), "--n-paths"),
 ])
 def test_validation_errors_exit_2_and_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from slepian_bcp import engine, oracle
 from slepian_bcp import (AffinePiece, BridgeSpec, DomainError,
                          PiecewiseAffineBoundary, ProcessParams, SimConfig,
                          affine_boundary, bcp_quadrature, constant_boundary,
@@ -27,10 +28,14 @@ def _collect(cfg):
 def _reference_window(params, step, n_paths, seed):
     """W from k + 1 standard normals per path, written out: W-steps
     sqrt(2 step/q) Z_j, W at q = sqrt(1 - k step/(2q)) Z_0 minus half their
-    sum, then a running sum; one block of `gaussian_stream(seed, 0)`."""
+    sum, then a running sum; block j of _PATH_BLOCK_ELEMS // (k + 1) paths
+    draws from `gaussian_stream(seed, j)`."""
     k = round((params.d - params.q) / step)
-    z = gaussian_stream(seed, 0).normals(n_paths * (k + 1))
-    z = z.reshape(n_paths, k + 1)
+    rows = oracle._PATH_BLOCK_ELEMS // (k + 1)
+    z = np.concatenate([
+        gaussian_stream(seed, j).normals(
+            min(rows, n_paths - start) * (k + 1)).reshape(-1, k + 1)
+        for j, start in enumerate(range(0, n_paths, rows))])
     dw = math.sqrt(2.0 * step / params.q) * z[:, 1:]
     w0 = (math.sqrt(1.0 - 0.5 * k * step / params.q) * z[:, 0]
           - 0.5 * dw.sum(axis=1))
@@ -95,18 +100,22 @@ class TestSimulatePaths:
         var = w[:, 5].var(ddof=1)
         assert abs(var - 1.0) <= 3.0 / math.sqrt(2.0 * 20_000)
 
-    @pytest.mark.parametrize("params, step", [
-        (PARAMS, 1e-2),
+    @pytest.mark.parametrize("params, step, n_paths", [
+        (PARAMS, 1e-2, 500),
         # q/step = 14 within rounding, so this is an integer-ratio grid too
-        (ProcessParams(0.7, 1.2), 0.05),
-        (ProcessParams(0.73, 1.23), 0.05),
-    ], ids=["integer_ratio", "ratio_14_rounded", "fractional_ratio"])
-    def test_matches_index_array_window_bit_for_bit(self, params, step):
+        (ProcessParams(0.7, 1.2), 0.05, 500),
+        (ProcessParams(0.73, 1.23), 0.05, 500),
+        # 700 paths of 1001 nodes are three blocks, the last one partial
+        (PARAMS, 1e-3, 700),
+    ], ids=["integer_ratio", "ratio_14_rounded", "fractional_ratio",
+            "three_blocks"])
+    def test_matches_index_array_window_bit_for_bit(self, params, step,
+                                                    n_paths):
         # the blocked, in-place construction against its written-out form
-        cfg = SimConfig(params, step, 500, 31)
+        cfg = SimConfig(params, step, n_paths, 31)
         _, w = _collect(cfg)
         np.testing.assert_array_equal(
-            w, _reference_window(params, step, 500, 31))
+            w, _reference_window(params, step, n_paths, 31))
 
 
 class TestEmpiricalBcp:
@@ -299,11 +308,87 @@ class TestEmpiricalBridgeNoncross:
         est = empirical_bridge_noncross(spec, 1.0, 0.0, n_paths=100, seed=12)
         assert est.value == 0.0 and est.error == 0.0
 
+    @pytest.mark.parametrize("x_i", [0.0, 1.0], ids=["below", "on"])
+    def test_rejects_no_paths(self, x_i):
+        # before the early return for a pin on the boundary, too
+        spec = BridgeSpec(PARAMS, 1.0, 1.5, x_i, 0.0)
+        with pytest.raises(DomainError, match="n_paths"):
+            empirical_bridge_noncross(spec, 1.0, 0.0, n_paths=0)
+
     def test_rejects_nondividing_grid(self):
         spec = BridgeSpec(PARAMS, 1.0, 1.5, 0.0, 0.0)
         with pytest.raises(DomainError):
             empirical_bridge_noncross(spec, 1.0, 0.0, n_paths=100,
                                       grid_step=0.21, seed=0)
+
+
+class TestPooledBlocks:
+    def test_estimates_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # three blocks of 2595 paths (101 nodes each), run serially at one
+        # CPU and on a pool at three: every estimator must give the same
+        # bits, and the same bits as composing `simulate_paths` blocks
+        pools = []
+
+        class RecordingPool(engine.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(kwargs["max_workers"])
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        step = 0.01
+        cfg = SimConfig(PARAMS, step, 6_000, 27)
+        bnd = affine_boundary(PARAMS, 0.9, 0.2)
+        # pins at q and d, so the bridge runs on cfg's grid and blocks
+        spec = BridgeSpec(PARAMS, 1.0, 2.0, 0.0, 0.1)
+        b, a = 1.0, -0.5
+
+        def estimates():
+            return (empirical_bcp(cfg, bnd),
+                    empirical_bcp(cfg, bnd, crossing="nodes"),
+                    empirical_covariance(cfg, n_lags=5),
+                    empirical_bridge_noncross(spec, b, a, n_paths=6_000,
+                                              grid_step=step, seed=27))
+
+        runs = {}
+        for count in (1, 3):
+            monkeypatch.setattr(oracle, "_cpu_count", lambda: count)
+            runs[count] = estimates()
+        assert pools == [3, 3, 3, 3]
+
+        blocks = [w for _, w in simulate_paths(cfg)]
+        assert len(blocks) == 3
+        times = next(simulate_paths(cfg))[0]
+        scale = PARAMS.q / step
+        limits = oracle._step_limits(bnd, times, step)
+        lag_idx = np.unique(np.round(np.linspace(1, cfg.n_steps, 5)).astype(
+            int))
+        sigma = covariance_matrix(PARAMS, times)
+        pin_idx = [0, len(times) - 1]
+        gain = sigma[:, pin_idx] @ np.linalg.inv(sigma[np.ix_(pin_idx,
+                                                              pin_idx)])
+        line = (b + a * (times - 1.0), np.empty(0, dtype=int), np.empty(0),
+                np.empty(0))
+
+        def pinned(w):
+            w = w + (np.array([0.0, 0.1])[None, :] - w[:, pin_idx]) @ gain.T
+            return oracle._bridge_crossing(w, *line, scale)[:, None]
+
+        def serial(payoff):
+            return engine._moments(payoff(w.copy()) for w in blocks)
+
+        bridge = serial(lambda w: oracle._bridge_crossing(
+            w, *limits, scale)[:, None])
+        nodes = serial(lambda w: np.any(
+            w > bnd.evaluate(times), axis=1).astype(float)[:, None])
+        cov = serial(lambda w: w[:, [0]] * w[:, lag_idx])
+        pin = serial(pinned)
+        for est_b, est_n, (lags, c_mean, c_se), est_p in runs.values():
+            assert (est_b.value, est_b.error) == (bridge[0][0], bridge[1][0])
+            assert (est_n.value, est_n.error) == (nodes[0][0], nodes[1][0])
+            np.testing.assert_array_equal(lags, lag_idx * step)
+            np.testing.assert_array_equal(c_mean, cov[0])
+            np.testing.assert_array_equal(c_se, cov[1])
+            assert (est_p.value, est_p.error) == (1.0 - pin[0][0], pin[1][0])
 
 
 class TestDumpPaths:
