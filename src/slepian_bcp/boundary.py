@@ -201,7 +201,10 @@ def approximate(f: Callable[[float], float], params: ProcessParams,
         raise DomainError("n_pieces must be >= 1")
     if mode not in ("interpolate", "piecewise_constant"):
         raise DomainError(f"unknown approximation mode {mode!r}")
-    knots = np.linspace(params.q, params.d, n_pieces + 1)
+    # f sees Python floats, so a division by zero in f raises
+    # ZeroDivisionError instead of warning and returning inf
+    grid = np.linspace(params.q, params.d, n_pieces + 1)
+    knots = grid.tolist()
     pieces = []
     if mode == "interpolate":
         values = [float(f(t)) for t in knots]
@@ -209,16 +212,14 @@ def approximate(f: Callable[[float], float], params: ProcessParams,
             raise DomainError("boundary function must be finite at all knots")
         for i in range(n_pieces):
             a = (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
-            pieces.append(AffinePiece(float(knots[i]), float(knots[i + 1]),
-                                      values[i], a))
+            pieces.append(AffinePiece(knots[i], knots[i + 1], values[i], a))
         return PiecewiseAffineBoundary(params, tuple(pieces))
-    mids = 0.5 * (knots[:-1] + knots[1:])
+    mids = (0.5 * (grid[:-1] + grid[1:])).tolist()
     consts = [float(f(t)) for t in mids]
     if not all(math.isfinite(v) for v in consts):
         raise DomainError("boundary function must be finite at all knots")
     for i in range(n_pieces):
-        pieces.append(AffinePiece(float(knots[i]), float(knots[i + 1]),
-                                  consts[i], 0.0))
+        pieces.append(AffinePiece(knots[i], knots[i + 1], consts[i], 0.0))
     return PiecewiseAffineBoundary(params, tuple(pieces))
 
 

@@ -93,7 +93,7 @@ def _check_affine_pins(spec: BridgeSpec, b: float, a: float) -> None:
             f"b={b}, x_i1={spec.x_i1} vs b+a*h={right}")
 
 
-def noncross_affine_product(q, h, b, a, x_i, x_i1):
+def noncross_affine_product(q, h, b, a, x_i, x_i1, out=None):
     """Affine-boundary non-crossing probability, reduced product form.
 
     Expanding the exponent of the hitting density separates the slope
@@ -106,18 +106,25 @@ def noncross_affine_product(q, h, b, a, x_i, x_i1):
 
         1 - exp(-q (b - x_i)(b + a h - x_i1) / h).
 
-    Vectorized over the pins (scalars or arrays, broadcast together).  Pins
-    at or above the boundary clamp to a zero factor, giving probability 0,
-    the limit as a pin approaches the boundary; the test suite checks the
-    form against the integrated hitting density on admissible inputs.
-    The factor is built in one output array of the broadcast shape.
+    Vectorized over pieces and pins, broadcast together: h, b and a are
+    scalars or arrays of one shape, such as (p, 1) for p pieces against
+    pins of shape (p, k).  Each clamp is formed on the shape of its own
+    pin broadcast with the piece, so (N, 1) rows against (1, M) columns
+    form no N x M temporary before the product.  Pins at or above the
+    boundary clamp to a zero factor, giving probability 0, the limit as a
+    pin approaches the boundary; the test suite checks the form against
+    the integrated hitting density on admissible inputs.  The factor is
+    built in `out` (an array of the broadcast shape), or in a new one;
+    0-d results come back as a float.
     """
     x_i = np.asarray(x_i, dtype=float)
     x_i1 = np.asarray(x_i1, dtype=float)
-    out = np.empty(np.broadcast_shapes(x_i.shape, x_i1.shape))
     left = np.maximum(b - x_i, 0.0)
     left *= q / h
-    np.multiply(left, np.maximum(b + a * h - x_i1, 0.0), out=out)
+    right = np.maximum(b + a * h - x_i1, 0.0)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(left.shape, right.shape))
+    np.multiply(left, right, out=out)
     np.negative(out, out=out)
     np.expm1(out, out=out)
     np.negative(out, out=out)

@@ -176,6 +176,34 @@ class TestNoncrossAffine:
         assert isinstance(noncross_affine_product(q, h, b, a, 0.1, -0.4),
                           float)
 
+    def test_piece_arrays_broadcast_against_pin_rows_bitwise(self):
+        # p pieces as (p, 1) columns against (p, k) pins, into a new array
+        # or into `out`, equal p calls on scalar pieces bit for bit; pins on
+        # or above a piece's end values clamp to 0 either way
+        rng = np.random.default_rng(47)
+        p, k, q = 5, 33, 0.9
+        h = rng.uniform(0.05, 0.5, (p, 1))
+        b = rng.normal(1.0, 0.3, (p, 1))
+        a = rng.normal(0.0, 1.0, (p, 1))
+        x_i, x_i1 = rng.normal(size=(p, k)), rng.normal(size=(p, k))
+        x_i[:, 0] = b[:, 0]
+        x_i1[:, 1] = (b + a * h)[:, 0]
+        x_i[:, 2] = b[:, 0] + 1.0
+        want = np.array([
+            noncross_affine_product(q, float(h[r, 0]), float(b[r, 0]),
+                                    float(a[r, 0]), x_i[r], x_i1[r])
+            for r in range(p)])
+        assert np.all(want[:, :3] == 0.0) and want.max() > 0.0
+        assert np.array_equal(noncross_affine_product(q, h, b, a, x_i, x_i1),
+                              want)
+        out = np.full((p, k), np.nan)
+        got = noncross_affine_product(q, h, b, a, x_i, x_i1, out=out)
+        assert got is out and np.array_equal(out, want)
+        assert isinstance(noncross_affine_product(q, float(h[0, 0]),
+                                                  float(b[0, 0]),
+                                                  float(a[0, 0]), 0.1, -0.4),
+                          float)
+
     def test_matches_conditioned_path_simulation(self):
         # the path estimate accounts for crossings between grid nodes, so
         # it is unbiased and the bound is two-sided

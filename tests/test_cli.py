@@ -158,12 +158,18 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     (("bridge", "--q", "1", "--d", "2", "--t-start", "1.0", "--t-end", "1.8",
       "--x-start", "0", "--x-end", "0.1", "--intercept", "1", "--slope",
       "-0.5", "--method", "mc", "--n-paths", "0"), "--n-paths"),
+    (("converge", "--q", "1", "--d", "2", "--expr", "1/(t-1)", "--pieces",
+      "2"), "--expr"),
 ])
-def test_validation_errors_exit_2_and_name_the_flag(capsys, argv, flag):
+def test_validation_errors_exit_2_and_name_the_flag(capsys, recwarn, argv,
+                                                   flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+    # e.g. "1/(t-1)" at t = q: a ZeroDivisionError, not numpy's warning
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_density_pair_value(capsys):

@@ -393,6 +393,151 @@ class TestContractionKernel:
         assert 0.0 < got < 2.0
 
 
+def _reference_factor(q, h, b, a, x_i, x_i1):
+    """One piece's bridge factor, written as the per-piece kernel had it."""
+    left = np.maximum(b - x_i, 0.0)
+    left *= q / h
+    out = np.empty(np.broadcast_shapes(x_i.shape, x_i1.shape))
+    np.multiply(left, np.maximum(b + a * h - x_i1, 0.0), out=out)
+    np.negative(out, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return out
+
+
+def _reference_payoffs(xt, q, limits, pieces):
+    """1 - knot indicators times bridge factors, one piece at a time."""
+    z = np.all(xt <= limits[:, None], axis=0).astype(float)
+    for i, (h, b, a) in enumerate(pieces):
+        z *= _reference_factor(q, h, b, a, xt[i], xt[i + 1])
+    return 1.0 - z
+
+
+def _reference_skeleton_mc(partition, boundaries, n_paths, seed):
+    """`engine._skeleton_mc` on one thread, with X and -X evaluated apart
+    by `_reference_payoffs`."""
+    q = partition.params.q
+    per_bnd = [(b.evaluate(partition.times),
+                engine._local_pieces(b, partition)) for b in boundaries]
+    m = partition.n + 1
+    lower = cholesky(covariance_matrix(partition.params, partition.times))
+
+    def block(j, k):
+        half = k // 2
+        cols = k - half
+        xt = lower @ gaussian_stream(seed, j).normals(cols * m).reshape(
+            cols, m).T
+        zs = []
+        for limits, pieces in per_bnd:
+            z = _reference_payoffs(xt, q, limits, pieces)
+            z[:half] += _reference_payoffs(-xt[:, :half], q, limits, pieces)
+            z[:half] *= 0.5
+            zs.append(z)
+        return np.stack(zs + [b - a for a, b in zip(zs, zs[1:])]).T
+
+    return engine._moments(block(j, k) for j, k in
+                           engine._blocks(n_paths, engine._MC_BLOCK))
+
+
+def _knot_case(n, mode):
+    """An n-piece approximant of 0.2 + 0.4 t^2 on a partition that adds
+    the thirds of [q, d]; piecewise-constant ones jump at every knot."""
+    bnd = approximate(lambda t: 0.2 + 0.4 * t * t, PARAMS, n, mode)
+    part = engine._union_partition(
+        PARAMS, [bnd.knots, Partition.equidistant(PARAMS, 3).times])
+    return bnd, part
+
+
+class TestPanelPayoffs:
+    """The panel kernel against the per-piece formula with indicators."""
+
+    @pytest.mark.parametrize("mode", ["interpolate", "piecewise_constant"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 63])
+    def test_equal_the_indicator_formula_on_and_off_the_knots(self, n,
+                                                               mode):
+        bnd, part = _knot_case(n, mode)
+        limits = bnd.evaluate(part.times)
+        pieces = engine._local_pieces(bnd, part)
+        ends = [b + a * h for h, b, a in pieces]
+        m = part.n + 1
+        x = np.random.default_rng(53).normal(size=(m, 400))
+        x[0, 0::8] = limits[0]                  # on t_0
+        x[-1, 1::8] = limits[-1]                # on t_n
+        x[-1, 2::8] = ends[-1]                  # on the last piece's end
+        j = m // 2                              # a jump knot if n > 1
+        x[j, 3::8] = limits[j]
+        x[j, 4::8] = max(ends[j - 1], pieces[j][1])
+        x[j, 5::8] = np.nextafter(limits[j], np.inf)
+        x[0, 6::8] = -limits[0]                 # -x on t_0
+        if mode == "piecewise_constant" and n > 1:
+            assert ends[j - 1] != pieces[j][1]
+        cuts = engine._knot_cuts(limits, pieces)
+        assert cuts == []
+        got = engine._payoffs(np.hstack([x, -x]), PARAMS.q, pieces, cuts)
+        want = np.concatenate([_reference_payoffs(x, PARAMS.q, limits, pieces),
+                               _reference_payoffs(-x, PARAMS.q, limits,
+                                                  pieces)])
+        assert np.array_equal(got, want)
+        assert 0.0 < want.min() and want.max() == 1.0
+
+    def test_a_knot_value_below_both_limits_keeps_its_indicator(self):
+        # the clamps stop at the one-sided limits (1.0), so a path between
+        # the stored knot value 0.3 and 1.0 needs the knot's own check
+        bnd = PiecewiseAffineBoundary(
+            PARAMS, (AffinePiece(1.0, 1.5, 1.0, 0.0),
+                     AffinePiece(1.5, 2.0, 1.0, 0.0)), knot_values=(0.3,))
+        part = Partition.from_boundary(bnd)
+        limits = bnd.evaluate(part.times)
+        pieces = engine._local_pieces(bnd, part)
+        cuts = engine._knot_cuts(limits, pieces)
+        assert cuts == [(1, 0.3)]
+        x = np.random.default_rng(59).normal(size=(3, 500))
+        x[1, ::4] = 0.3
+        x[1, 1::4] = 0.5
+        want = _reference_payoffs(x, PARAMS.q, limits, pieces)
+        assert np.array_equal(engine._payoffs(x, PARAMS.q, pieces, cuts),
+                              want)
+        assert not np.array_equal(engine._payoffs(x, PARAMS.q, pieces), want)
+        mean, se = engine._skeleton_mc(part, [bnd], 3001, 19, 3)
+        ref_mean, ref_se = _reference_skeleton_mc(part, [bnd], 3001, 19)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(se, ref_se)
+        mc = bcp_montecarlo(bnd, n_paths=40_000, seed=19)
+        quad = bcp_quadrature(bnd, tol=1e-8)
+        assert abs(mc.value - quad.value) <= 4.0 * mc.error
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_paths", [1, 3, engine._MC_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 63])
+    def test_skeleton_mc_equals_the_per_piece_reference(self, n, n_paths,
+                                                        workers):
+        bnd, part = _knot_case(n, "piecewise_constant" if n % 2 == 0
+                               else "interpolate")
+        got = engine._skeleton_mc(part, [bnd], n_paths, 23, workers)
+        want = _reference_skeleton_mc(part, [bnd], n_paths, 23)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_three_boundary_study_equals_the_per_piece_reference(self,
+                                                                 workers):
+        counts, n_paths, seed = [2, 3, 5], 2 * engine._MC_BLOCK + 7, 29
+
+        def f(t):
+            return 0.5 + 0.3 * t * t
+
+        rows = convergence_study(f, PARAMS, counts, n_paths=n_paths,
+                                 seed=seed, workers=workers)
+        boundaries = [approximate(f, PARAMS, c) for c in counts]
+        part = engine._union_partition(PARAMS, [b.knots for b in boundaries])
+        mean, se = _reference_skeleton_mc(part, boundaries, n_paths, seed)
+        for i, row in enumerate(rows):
+            assert row.estimate.value == min(1.0, max(0.0, float(mean[i])))
+            assert row.estimate.error == float(se[i])
+            if i:
+                assert row.diff_prev == float(mean[len(counts) + i - 1])
+                assert row.diff_se == float(se[len(counts) + i - 1])
+
+
 class TestBcpMontecarlo:
     def test_boundary_below_everything(self):
         est = bcp_montecarlo(constant_boundary(PARAMS, -10.0),
@@ -473,8 +618,8 @@ class TestBcpMontecarlo:
                                          x[:, i + 1])
         row_wise = 1.0 - z
         assert 0.0 < row_wise.min() and row_wise.max() == 1.0
-        assert np.array_equal(
-            engine._payoffs(x.T, PARAMS.q, limits, pieces), row_wise)
+        assert np.array_equal(engine._payoffs(x.T, PARAMS.q, pieces),
+                              row_wise)
 
     @pytest.mark.parametrize("n_paths", [1, 3, engine._MC_BLOCK + 1])
     def test_odd_path_counts(self, n_paths):
@@ -490,14 +635,13 @@ class TestBcpMontecarlo:
             return
         # one block: (n_paths + 1) // 2 skeletons, the last one unpaired
         part = Partition.from_boundary(TWO_PIECE)
-        limits = TWO_PIECE.evaluate(part.times)
         pieces = engine._local_pieces(TWO_PIECE, part)
         lower = cholesky(covariance_matrix(PARAMS, part.times))
         rows, m = (n_paths + 1) // 2, part.n + 1
         xt = lower @ gaussian_stream(16, 0).normals(rows * m).reshape(
             rows, m).T
-        plus = engine._payoffs(xt, PARAMS.q, limits, pieces)
-        minus = engine._payoffs(-xt, PARAMS.q, limits, pieces)
+        plus = engine._payoffs(xt, PARAMS.q, pieces)
+        minus = engine._payoffs(-xt, PARAMS.q, pieces)
         pairs = n_paths // 2
         samples = np.append(0.5 * (plus + minus)[:pairs], plus[pairs:])
         assert len(samples) == pairs + 1
@@ -511,14 +655,13 @@ class TestBcpMontecarlo:
         # negatively correlated: var(pair mean) = (var + cov) / 2
         bnd = approximate(lambda t: t * t, PARAMS, 4)
         part = Partition.from_boundary(bnd)
-        limits = bnd.evaluate(part.times)
         pieces = engine._local_pieces(bnd, part)
         lower = cholesky(covariance_matrix(PARAMS, part.times))
         m, half = part.n + 1, engine._MC_BLOCK // 2
         xt = lower @ gaussian_stream(17, 0).normals(half * m).reshape(
             half, m).T
-        plus = engine._payoffs(xt, PARAMS.q, limits, pieces)
-        minus = engine._payoffs(-xt, PARAMS.q, limits, pieces)
+        plus = engine._payoffs(xt, PARAMS.q, pieces)
+        minus = engine._payoffs(-xt, PARAMS.q, pieces)
         single = np.var(np.concatenate([plus, minus]), ddof=1)
         assert np.var(0.5 * (plus + minus), ddof=1) <= 0.5 * single
 
