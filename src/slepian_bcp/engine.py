@@ -42,6 +42,7 @@ Two evaluators:
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +66,7 @@ _Z_STEP = 0.45          # latent grid spacing; see _noncross_tensor_gl
 _Z_PAD = 7.0            # latent range pad beyond the extreme centres, in sqrt(D)
 _PANEL = 256            # columns per right-factor panel on latent rows
 _EXP_CUT = -350.0       # scaled exponents below it give 0; see _log_matmul
+_LOG_MAX = math.log(sys.float_info.max)     # 709.78; see _noncross_tensor_gl
 _MC_BLOCK = 16_384      # paths per seed-indexed block
 _MC_PANEL = 65_536      # elements per payoff panel; see _skeleton_mc
 
@@ -114,9 +116,9 @@ class Estimate:
     quadrature, the last successive-level difference plus 1e-14 (a
     heuristic, not a bound).  Every sampling route
     (`bcp_montecarlo`, MC study rows and the path oracles) averages a
-    per-path payoff, and its `error` is the sample standard error.  For
-    conditioned MC the samples are antithetic pair means (and an odd
-    path's own payoff), so `error` runs over pairs while `n_samples`
+    per-path payoff over antithetic pairs of paths, and its `error` is the
+    sample standard error of the samples: the pair means, and an odd
+    path's own payoff.  So `error` runs over pairs while `n_samples`
     counts paths.
     """
 
@@ -276,6 +278,10 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
     Gaussian with sd sqrt(D/2), and the grid reaches 7 sqrt(D) past the
     extreme centres.  `_latent_grid` picks the cheaper basis, so a level
     costs O(n min(M, N) N^2) flops and O(min(M, N) N) memory.
+
+    The constant log_c grows like -sum log(du_i) / 2, so on a fine
+    partition a level too coarse for the narrow steps can exceed the
+    largest double; such a level is unresolved and returns inf.
     """
     q = params.q
     n = len(times) - 1
@@ -324,6 +330,9 @@ def _noncross_tensor_gl(params, times, limits, pieces, n_nodes):
         log_m = (log_v - 0.5 * (z[:, None] - nodes[n][None, :]) ** 2 / dcap
                  + (log_c + np.log(weights[n]))[None, :])
     mx = np.max(log_m)
+    if mx > _LOG_MAX:
+        # e^mx overflows: the level has not resolved the integrand
+        return math.inf
     if not np.isfinite(mx):
         return 0.0
     return float(math.exp(mx) * np.sum(_exp_cut(log_m - mx)))
@@ -348,6 +357,10 @@ def bcp_quadrature(boundary: PiecewiseAffineBoundary,
     resolves a first gap of 1% of a span of 2% of q.  A very short horizon
     narrows the (x_0, x_n) pair density (sd ~ sqrt((d - q)/q)) the same
     way: d = 1.001 q converges, d = q + 1e-6 does not.
+
+    On a fine partition (hundreds of pieces) the coarse levels can
+    overflow a double; such a level is unresolved, counts as inf, and
+    the ladder goes on.
 
     `error` is the last successive-level difference plus 1e-14, a heuristic,
     not a bound.  QuadratureNonConvergenceError carries the last level's
@@ -416,6 +429,23 @@ def _moments(samples) -> tuple[np.ndarray, np.ndarray]:
         return mean, np.zeros_like(mean)
     var = np.maximum(0.0, (s2 - n * mean ** 2) / (n - 1))
     return mean, np.sqrt(var / n)
+
+
+def _pair_means(z: np.ndarray) -> np.ndarray:
+    """The samples of antithetic payoffs, one per pair, along axis 0.
+
+    A block of k paths holds its c = ceil(k/2) drawn paths first and the
+    negatives of the first floor(k/2) of them after those, so row i and
+    row c + i are a pair.  Each pair becomes the mean of its two payoffs,
+    written over row i, and an odd block's row c - 1, which has no
+    partner, stays a sample of its own.  Returns those c rows, a view of
+    `z`; `z` may have estimand columns after the path axis.
+    """
+    half = len(z) // 2
+    cols = len(z) - half
+    z[:half] += z[cols:]
+    z[:half] *= 0.5
+    return z[:cols]
 
 
 def _knot_cuts(limits, pieces) -> list[tuple[int, float]]:
@@ -547,12 +577,8 @@ def _skeleton_mc(partition: Partition,
         x = scratch.buf[size:size + k * m].reshape(m, k)
         np.matmul(lower, eps.reshape(cols, m).T, out=x[:, :cols])
         np.negative(x[:, :half], out=x[:, cols:])
-        zs = []
-        for pieces, cuts in per_bnd:
-            z = _payoffs(x, params.q, pieces, cuts, scratch.work)
-            z[:half] += z[cols:]
-            z[:half] *= 0.5
-            zs.append(z[:cols])
+        zs = [_pair_means(_payoffs(x, params.q, pieces, cuts, scratch.work))
+              for pieces, cuts in per_bnd]
         # each column's samples are contiguous, so its sums are the
         # pairwise sums of that 1-D payoff vector
         return np.stack(zs + [b - a for a, b in zip(zs, zs[1:])]).T

@@ -33,12 +33,18 @@ correction for discretely monitored paths; Glasserman 2003, section 6.4).
 Nothing here calls the analytic bridge formulas, so the oracle stays an
 independent cross-check of the engines.
 
-Path blocks of about _PATH_BLOCK_ELEMS normals draw from seed-derived
-streams indexed by block number.  The estimators run their blocks on a
-thread pool over every CPU the process may use; each block draws, builds W
-and returns its payoffs in one task, and the payoffs are summed in block
-order, so a fixed configuration gives bit-identical results for any CPU
-count.
+Paths come in antithetic pairs (W, -W), as the skeletons of conditioned
+MC do: -W has the law of W, so every path is exact, and a path block of
+about _PATH_BLOCK_ELEMS values draws the normals of half its rows only.
+Every estimator averages each pair's two payoffs into one sample
+(`engine._pair_means`), so its `error` is a standard error over pairs; a
+crossing payoff is monotone in W, so a pair mean has at most half the
+variance of one path's payoff (Glasserman 2003, section 4.2).  Blocks draw
+from seed-derived streams indexed by block number.  The estimators run
+their blocks on a thread pool over every CPU the process may use; each
+block draws, builds W, pays off and pairs in one task, and the samples
+are summed in block order, so a fixed configuration gives bit-identical
+results for any CPU count.
 """
 
 from __future__ import annotations
@@ -53,12 +59,14 @@ import numpy as np
 
 from .boundary import PiecewiseAffineBoundary
 from .bridge import BridgeSpec
-from .engine import Estimate, _blocks, _map_blocks, _moments
+from .engine import Estimate, _blocks, _map_blocks, _moments, _pair_means
 from .errors import DomainError, NotPositiveDefiniteError
 from .numerics import gaussian_stream
 from .process import ProcessParams, covariance_matrix
 
-_PATH_BLOCK_ELEMS = 1 << 18     # standard normals per path block (2 MB)
+# path values per block (2 MB); a block draws half as many normals, the
+# other half of its rows are their antithetic partners
+_PATH_BLOCK_ELEMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,17 +114,27 @@ def _cpu_count() -> int:
 
 
 def _path_blocks(n_paths: int, width: int) -> list[tuple[int, int]]:
-    """(j, paths) of the blocks of about _PATH_BLOCK_ELEMS normals that
-    cover n_paths paths of `width` nodes."""
-    return _blocks(n_paths, max(1, _PATH_BLOCK_ELEMS // width))
+    """(j, paths) of the blocks of about _PATH_BLOCK_ELEMS path values
+    that cover n_paths paths of `width` nodes.
+
+    Every block but the last holds an even number of paths, at least 2,
+    so only an odd n_paths leaves one path without an antithetic partner.
+    """
+    return _blocks(n_paths, max(2, _PATH_BLOCK_ELEMS // width // 2 * 2))
 
 
 def _path_block(width: int, ratio: float, seed: int,
                 block: tuple[int, int]) -> np.ndarray:
     """W at `width` = k + 1 grid nodes on path block (j, paths).
 
-    The block draws a (paths x (k + 1)) array Z of standard normals from
-    stream j, and `ratio` is the grid step over q.  Columns 1..k become the
+    The block holds antithetic pairs: it draws c = ceil(paths / 2) rows
+    Z of k + 1 standard normals from stream j into the first c rows of
+    one (paths x (k + 1)) array, builds W on them, and writes the
+    negatives of the first floor(paths / 2) rows into the rows after
+    them, so row i and row c + i are a pair (see `engine._pair_means`).
+    -W has the law of W, so every row is a path of the process.
+
+    `ratio` is the grid step over q.  Columns 1..k of Z become the
     W-steps dW_j = sqrt(2 ratio) Z_j, column 0 becomes
     W_{t_lo} = sqrt(1 - k ratio / 2) Z_0 - sum_j dW_j / 2, and the row
     cumsum is W at the k + 1 nodes.  This is exact for k ratio <= 1: the
@@ -124,10 +142,14 @@ def _path_block(width: int, ratio: float, seed: int,
     rotating each pair into its difference (the W-step) and sum leaves
     independent normals, of which W_{t_lo} needs the sums only through one
     N(0, 1 - k ratio / 2) term (see the module docstring).  W is built
-    in place in Z, which is returned.
+    in place in Z.
     """
     j, paths = block
-    z = gaussian_stream(seed, j).normals(paths * width).reshape(paths, width)
+    half = paths // 2
+    cols = paths - half
+    out = np.empty((paths, width))
+    z = gaussian_stream(seed, j).normals(
+        cols * width, out[:cols].reshape(-1)).reshape(cols, width)
     k = width - 1
     dw = z[:, 1:]
     dw *= math.sqrt(2.0 * ratio)
@@ -135,19 +157,24 @@ def _path_block(width: int, ratio: float, seed: int,
     w0 *= math.sqrt(1.0 - 0.5 * k * ratio)
     w0 -= 0.5 * dw.sum(axis=1)
     np.cumsum(z, axis=1, out=z)
-    return z
+    np.negative(out[:half], out=out[cols:])
+    return out
 
 
 def _pooled_moments(width: int, ratio: float, n_paths: int, seed: int,
                     payoff) -> tuple[np.ndarray, np.ndarray]:
-    """`_moments` of payoff(W) over the path blocks of `width` nodes.
+    """`_moments` of the pair means of payoff(W) over the path blocks of
+    `width` nodes.
 
-    Each block draws, builds W and returns payoff(W), one row per path, in
-    one task on a pool of `_cpu_count()` threads; results are summed in
-    block order, so they do not depend on the thread count.
+    payoff(W) has one row per path and may be overwritten.  Each block
+    draws, builds W, pays off and averages its antithetic pairs
+    (`engine._pair_means`) in one task on a pool of `_cpu_count()`
+    threads; results are summed in block order, so they do not depend on
+    the thread count.
     """
     return _moments(_map_blocks(
-        lambda block: payoff(_path_block(width, ratio, seed, block)),
+        lambda block: _pair_means(
+            payoff(_path_block(width, ratio, seed, block))),
         _path_blocks(n_paths, width), _cpu_count()))
 
 
@@ -155,7 +182,11 @@ def simulate_paths(cfg: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (times, values) blocks of simulated paths on [q, d].
 
     `values` has one row per path; rows across all blocks form the full
-    ensemble of cfg.n_paths paths, reproducible from cfg.seed.
+    ensemble of cfg.n_paths paths, reproducible from cfg.seed.  Each block
+    of p rows holds antithetic pairs: its rows from c = ceil(p / 2) on are
+    the negatives of its first floor(p / 2) rows.  Every block but the
+    last has an even p, so only an odd cfg.n_paths leaves a row unpaired
+    (the last block's row c - 1).
     """
     params, step = cfg.params, cfg.grid_step
     times = _grid(params.q, params.d, step)
@@ -237,8 +268,12 @@ def empirical_bcp(cfg: SimConfig, boundary: PiecewiseAffineBoundary,
                   crossing: str = "bridge") -> Estimate:
     """Path-simulation estimate of the boundary crossing probability.
 
-    The mean over paths of a per-path crossing payoff; `error` is the
-    sample standard error of those payoffs.
+    The paths come in antithetic pairs (see `simulate_paths`), and each
+    pair's mean payoff is one sample; with an odd n_paths the last path
+    has no partner and is a sample of its own.  The estimate is the mean
+    of the samples and `error` their sample standard error, taken over
+    pairs; `n_samples` counts paths.  The estimate stays unbiased, since
+    every path has the law of the process.
 
     crossing="bridge" (default): each path's exact probability of crossing
     g in continuous time given its grid values:
@@ -285,8 +320,10 @@ def empirical_covariance(cfg: SimConfig, n_lags: int = 20):
     """Empirical covariance of W at `n_lags` grid lags from the left edge.
 
     Returns (lags, estimates, standard_errors); each estimate averages the
-    product W_q * W_{q+lag} over paths, and its error is the sample
-    standard error of those products.
+    product W_q * W_{q+lag} over the antithetic pair means, and its error
+    is their sample standard error.  The product is even in W, so both
+    paths of a pair give the same product: the standard error is that of
+    n_paths / 2 independent paths, at the draw cost of n_paths / 2.
     """
     k_max = cfg.n_steps
     lag_idx = np.unique(np.round(np.linspace(1, k_max, n_lags)).astype(int))
@@ -307,9 +344,12 @@ def empirical_bridge_noncross(spec: BridgeSpec, b: float, a: float = 0.0,
     W + Cov(W, pins) Cov(pins)^{-1} (pins - W_pins), which is cheap (rank
     two) and has the exact conditional law.  The correction is affine in t
     and the pins are grid nodes, so the estimate is one minus the mean of
-    `empirical_bcp`'s per-path crossing probabilities, and `error` is their
-    sample standard error.  A pin on or above the boundary is a certain
-    crossing, so the estimate is 0 without simulation.
+    `empirical_bcp`'s per-path crossing probabilities over antithetic
+    pairs, and `error` is the sample standard error of the pair means.
+    The correction maps a pair (W, -W) to two paths mirrored about the
+    conditional mean, so pinned paths are antithetic pairs too.  A pin on
+    or above the boundary is a certain crossing, so the estimate is 0
+    without simulation.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
@@ -353,7 +393,10 @@ def dump_paths(cfg: SimConfig, fp: IO[str] | str,
     """Write simulated paths as delimited text; returns the number written.
 
     First line holds the evaluation times, then one line per path:
-    the path index followed by the path values, comma-separated.
+    the path index followed by the path values, comma-separated.  Rows
+    come in mirrored pairs as `simulate_paths` yields them: within each
+    block of p rows, rows ceil(p/2) on are the negatives of its first
+    floor(p/2) rows.
     """
     def _write(handle):
         written = 0

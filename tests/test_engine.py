@@ -188,6 +188,24 @@ class TestBcpQuadrature:
             engine._local_pieces(bnd, part), engine._QUAD_LEVELS[-1])
         assert info.value.value == 1.0 - last
 
+    def test_level_that_overflows_a_double_is_unresolved(self):
+        # 512 pieces: the 16-node level's closing log-maximum exceeds
+        # log(DBL_MAX), so e^max would raise OverflowError
+        bnd = approximate(lambda t: 1.0, PARAMS, 512)
+        part = Partition.from_boundary(bnd)
+        assert engine._noncross_tensor_gl(
+            PARAMS, part.times, bnd.evaluate(part.times).tolist(),
+            engine._local_pieces(bnd, part), 16) == math.inf
+
+    def test_ladder_of_unresolved_levels_does_not_converge(self,
+                                                           monkeypatch):
+        # two unresolved levels differ by inf - inf = nan, which must not
+        # pass for convergence
+        monkeypatch.setattr(engine, "_QUAD_LEVELS", (16, 16))
+        with pytest.raises(QuadratureNonConvergenceError) as info:
+            bcp_quadrature(approximate(lambda t: 1.0, PARAMS, 512))
+        assert info.value.value == -math.inf
+
     def test_short_horizon_converges(self):
         params = ProcessParams(1.0, 1.001)
         bnd = constant_boundary(params, 1.0)
@@ -439,6 +457,22 @@ def _reference_skeleton_mc(partition, boundaries, n_paths, seed):
                            engine._blocks(n_paths, engine._MC_BLOCK))
 
 
+def _assert_study_equals_the_reference(f, counts, n_paths, seed, workers):
+    """Every value and error of a `convergence_study` of f, bit for bit
+    against `_reference_skeleton_mc` on its union partition."""
+    rows = convergence_study(f, PARAMS, counts, n_paths=n_paths, seed=seed,
+                             workers=workers)
+    boundaries = [approximate(f, PARAMS, c) for c in counts]
+    part = engine._union_partition(PARAMS, [b.knots for b in boundaries])
+    mean, se = _reference_skeleton_mc(part, boundaries, n_paths, seed)
+    for i, row in enumerate(rows):
+        assert row.estimate.value == min(1.0, max(0.0, float(mean[i])))
+        assert row.estimate.error == float(se[i])
+        if i:
+            assert row.diff_prev == float(mean[len(counts) + i - 1])
+            assert row.diff_se == float(se[len(counts) + i - 1])
+
+
 def _knot_case(n, mode):
     """An n-piece approximant of 0.2 + 0.4 t^2 on a partition that adds
     the thirds of [q, d]; piecewise-constant ones jump at every knot."""
@@ -520,22 +554,26 @@ class TestPanelPayoffs:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_three_boundary_study_equals_the_per_piece_reference(self,
                                                                  workers):
-        counts, n_paths, seed = [2, 3, 5], 2 * engine._MC_BLOCK + 7, 29
+        _assert_study_equals_the_reference(
+            lambda t: 0.5 + 0.3 * t * t, [2, 3, 5], 2 * engine._MC_BLOCK + 7,
+            29, workers)
 
-        def f(t):
-            return 0.5 + 0.3 * t * t
-
-        rows = convergence_study(f, PARAMS, counts, n_paths=n_paths,
-                                 seed=seed, workers=workers)
-        boundaries = [approximate(f, PARAMS, c) for c in counts]
-        part = engine._union_partition(PARAMS, [b.knots for b in boundaries])
-        mean, se = _reference_skeleton_mc(part, boundaries, n_paths, seed)
-        for i, row in enumerate(rows):
-            assert row.estimate.value == min(1.0, max(0.0, float(mean[i])))
-            assert row.estimate.error == float(se[i])
-            if i:
-                assert row.diff_prev == float(mean[len(counts) + i - 1])
-                assert row.diff_se == float(se[len(counts) + i - 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_paths", [3, 1001, 262_144])
+    def test_public_estimates_equal_the_written_out_pair_means(self, n_paths,
+                                                               workers):
+        # `engine._pair_means` against the reference's own pair formula,
+        # through both public entry points: an odd path alone, an odd path
+        # after 500 pairs, and sixteen full blocks
+        bnd = affine_boundary(PARAMS, 0.9, 0.2)
+        part = Partition.equidistant(PARAMS, 4)
+        est = bcp_montecarlo(bnd, part, n_paths=n_paths, seed=5,
+                             workers=workers)
+        mean, se = _reference_skeleton_mc(part, [bnd], n_paths, 5)
+        assert est.value == min(1.0, max(0.0, float(mean[0])))
+        assert est.error == float(se[0])
+        _assert_study_equals_the_reference(lambda t: t * t, [2, 4], n_paths,
+                                           6, workers)
 
 
 class TestBcpMontecarlo:

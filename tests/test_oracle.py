@@ -25,21 +25,35 @@ def _collect(cfg):
     return times, np.concatenate(blocks, axis=0)
 
 
+def _pair_samples(z):
+    """One sample per antithetic pair of a block's payoffs, written out:
+    rows i and c + i (c = ceil(p/2)) averaged, then an odd block's
+    unpaired row c - 1."""
+    half = len(z) // 2
+    cols = len(z) - half
+    return np.concatenate([(z[:half] + z[cols:]) * 0.5, z[half:cols]])
+
+
 def _reference_window(params, step, n_paths, seed):
     """W from k + 1 standard normals per path, written out: W-steps
     sqrt(2 step/q) Z_j, W at q = sqrt(1 - k step/(2q)) Z_0 minus half their
-    sum, then a running sum; block j of _PATH_BLOCK_ELEMS // (k + 1) paths
-    draws from `gaussian_stream(seed, j)`."""
+    sum, then a running sum.  Block j of the even number
+    _PATH_BLOCK_ELEMS // (k + 1) rounded down of paths (the last block
+    fewer) draws its first ceil(p/2) paths from `gaussian_stream(seed, j)`
+    and mirrors the first floor(p/2) of them into its other rows."""
     k = round((params.d - params.q) / step)
-    rows = oracle._PATH_BLOCK_ELEMS // (k + 1)
-    z = np.concatenate([
-        gaussian_stream(seed, j).normals(
-            min(rows, n_paths - start) * (k + 1)).reshape(-1, k + 1)
-        for j, start in enumerate(range(0, n_paths, rows))])
-    dw = math.sqrt(2.0 * step / params.q) * z[:, 1:]
-    w0 = (math.sqrt(1.0 - 0.5 * k * step / params.q) * z[:, 0]
-          - 0.5 * dw.sum(axis=1))
-    return np.cumsum(np.column_stack([w0, dw]), axis=1)
+    rows = oracle._PATH_BLOCK_ELEMS // (k + 1) // 2 * 2
+    blocks = []
+    for j, start in enumerate(range(0, n_paths, rows)):
+        p = min(rows, n_paths - start)
+        z = gaussian_stream(seed, j).normals(
+            (p - p // 2) * (k + 1)).reshape(-1, k + 1)
+        dw = math.sqrt(2.0 * step / params.q) * z[:, 1:]
+        w0 = (math.sqrt(1.0 - 0.5 * k * step / params.q) * z[:, 0]
+              - 0.5 * dw.sum(axis=1))
+        w = np.cumsum(np.column_stack([w0, dw]), axis=1)
+        blocks += [w, -w[:p // 2]]
+    return np.concatenate(blocks)
 
 
 class TestSimConfig:
@@ -105,20 +119,60 @@ class TestSimulatePaths:
         # q/step = 14 within rounding, so this is an integer-ratio grid too
         (ProcessParams(0.7, 1.2), 0.05, 500),
         (ProcessParams(0.73, 1.23), 0.05, 500),
-        # 700 paths of 1001 nodes are three blocks, the last one partial
-        (PARAMS, 1e-3, 700),
+        # 701 paths of 1001 nodes are three blocks of 260, the last one
+        # partial and odd
+        (PARAMS, 1e-3, 701),
     ], ids=["integer_ratio", "ratio_14_rounded", "fractional_ratio",
             "three_blocks"])
     def test_matches_index_array_window_bit_for_bit(self, params, step,
                                                     n_paths):
-        # the blocked, in-place construction against its written-out form
+        # the blocked, in-place, mirrored construction against its
+        # written-out form
         cfg = SimConfig(params, step, n_paths, 31)
         _, w = _collect(cfg)
         np.testing.assert_array_equal(
             w, _reference_window(params, step, n_paths, 31))
 
+    def test_blocks_hold_mirrored_pairs(self):
+        # 523 paths of 1001 nodes: blocks of 260, 260 and an odd 3, whose
+        # row 1 has no partner
+        cfg = SimConfig(PARAMS, 1e-3, 523, 37)
+        sizes = []
+        for _, w in simulate_paths(cfg):
+            half = len(w) // 2
+            assert np.array_equal(w[len(w) - half:], np.negative(w[:half]))
+            sizes.append(len(w))
+        assert sizes == [260, 260, 3]
+
+    @pytest.mark.parametrize("width", [11, 101, 1001, 2001, 1 << 17])
+    def test_every_block_but_the_last_is_even(self, width):
+        sizes = [p for _, p in oracle._path_blocks(10_001, width)]
+        assert sum(sizes) == 10_001
+        assert all(p >= 2 and p % 2 == 0 for p in sizes[:-1])
+
 
 class TestEmpiricalBcp:
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    def test_unpaired_path_is_a_sample_of_its_own(self, n_paths):
+        # one path is one sample; three are a pair (rows 0 and 2) and the
+        # unpaired row 1, so the estimate is the mean of two samples
+        cfg = SimConfig(PARAMS, 0.01, n_paths, 41)
+        bnd = constant_boundary(PARAMS, 1.0)
+        times, w = _collect(cfg)
+        p = oracle._bridge_crossing(
+            w, *oracle._step_limits(bnd, times, cfg.grid_step),
+            PARAMS.q / cfg.grid_step)
+        est = empirical_bcp(cfg, bnd)
+        assert est.n_samples == n_paths
+        if n_paths == 1:
+            assert est.value == p[0] and est.error == 0.0
+            return
+        np.testing.assert_array_equal(w[2], -w[0])
+        pair, alone = (p[0] + p[2]) * 0.5, p[1]
+        assert pair != alone
+        assert est.value == (pair + alone) / 2
+        assert est.error == pytest.approx(abs(pair - alone) / 2, rel=1e-12)
+
     def test_boundary_below(self):
         cfg = SimConfig(PARAMS, 0.01, 5_000, 5)
         est = empirical_bcp(cfg, constant_boundary(PARAMS, -10.0))
@@ -158,15 +212,19 @@ class TestBridgeCorrection:
         cfg = SimConfig(PARAMS, 0.01, 5_000, 15)
         bnd = affine_boundary(PARAMS, 0.9, 0.2)
         count = 0
+        samples = []
         for times, w in simulate_paths(cfg):
-            count += int(np.any(w > bnd.evaluate(times), axis=1).sum())
-        n = cfg.n_paths
-        p = count / n
+            hit = np.any(w > bnd.evaluate(times), axis=1)
+            count += int(hit.sum())
+            samples.append(_pair_samples(hit.astype(float)))
+        samples = np.concatenate(samples)
+        # 5000 paths are two even blocks: 2500 pairs, all paths counted
+        assert len(samples) == cfg.n_paths // 2
         est = empirical_bcp(cfg, bnd, crossing="nodes")
-        assert est.value == p
-        # the sample standard error of the 0/1 payoffs
+        assert est.value == count / cfg.n_paths
+        # the sample standard error of the pair means of the 0/1 payoffs
         assert est.error == pytest.approx(
-            math.sqrt(p * (1.0 - p) / (n - 1)), rel=1e-12)
+            samples.std(ddof=1) / math.sqrt(len(samples)), rel=1e-12)
 
     def test_nodes_deficit_decays_like_sqrt_step(self):
         # the node-wise check misses crossings between nodes; its deficit
@@ -225,12 +283,13 @@ class TestBridgeCorrection:
             x = np.maximum((g_lo - w[:, :-1]) * (g_hi - w[:, 1:]), 0.0)
             stay = np.prod(1.0 - np.exp(-PARAMS.q * x / cfg.grid_step),
                            axis=1)
-            probs.append(np.where(np.any(w > g, axis=1), 1.0, 1.0 - stay))
+            probs.append(_pair_samples(
+                np.where(np.any(w > g, axis=1), 1.0, 1.0 - stay)))
         probs = np.concatenate(probs)
         est = empirical_bcp(cfg, bnd)
         assert est.value == pytest.approx(probs.mean(), rel=1e-12)
         assert est.error == pytest.approx(
-            probs.std(ddof=1) / math.sqrt(cfg.n_paths), rel=1e-9)
+            probs.std(ddof=1) / math.sqrt(len(probs)), rel=1e-9)
 
     def test_knot_inside_step_warns(self):
         bnd = PiecewiseAffineBoundary(PARAMS, (
@@ -324,9 +383,9 @@ class TestEmpiricalBridgeNoncross:
 
 class TestPooledBlocks:
     def test_estimates_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # three blocks of 2595 paths (101 nodes each), run serially at one
-        # CPU and on a pool at three: every estimator must give the same
-        # bits, and the same bits as composing `simulate_paths` blocks
+        # three blocks of up to 2594 paths (101 nodes each), run serially
+        # at one CPU and on a pool at three: every estimator must give the
+        # same bits, and the same bits as pairing `simulate_paths` blocks
         pools = []
 
         class RecordingPool(engine.ThreadPoolExecutor):
@@ -374,7 +433,8 @@ class TestPooledBlocks:
             return oracle._bridge_crossing(w, *line, scale)[:, None]
 
         def serial(payoff):
-            return engine._moments(payoff(w.copy()) for w in blocks)
+            return engine._moments(_pair_samples(payoff(w.copy()))
+                                   for w in blocks)
 
         bridge = serial(lambda w: oracle._bridge_crossing(
             w, *limits, scale)[:, None])
